@@ -1,6 +1,6 @@
 // E7 — §7.2 configuration search: greedy heuristic vs exhaustive optimum
-// vs simulated annealing vs branch-and-bound on the EP scenario and the
-// benchmark mix, at a range of goal strictness levels: recommended
+// vs branch-and-bound on the EP scenario and the benchmark mix, at a
+// range of goal strictness levels: recommended
 // configuration, cost, number of model evaluations, cache hits, and
 // wall-clock time.
 //
@@ -100,8 +100,7 @@ int main(int argc, char** argv) {
     const char* scenario = benchmark_mix ? "benchmark-mix-5" : "ep-3";
 
     if (!json) {
-      std::printf("E7 (%s): greedy vs exhaustive vs annealing vs bnb "
-                  "(%zu lanes)\n",
+      std::printf("E7 (%s): greedy vs exhaustive vs bnb (%zu lanes)\n",
                   benchmark_mix ? "benchmark mix, 5 types" : "EP, 3 types",
                   tool->num_threads());
       std::printf("%-8s %-12s %-16s %5s %6s %5s %9s\n", "goals", "method",
@@ -112,33 +111,20 @@ int main(int argc, char** argv) {
       goals.max_waiting_time = level.max_waiting;
       goals.min_availability = level.min_availability;
 
-      auto t0 = std::chrono::steady_clock::now();
-      auto greedy = tool->GreedyMinCost(goals, constraints);
-      const double greedy_ms = MillisSince(t0);
-
-      t0 = std::chrono::steady_clock::now();
-      auto exhaustive = tool->ExhaustiveMinCost(goals, constraints);
-      const double exhaustive_ms = MillisSince(t0);
-
-      configtool::AnnealingOptions annealing;
-      annealing.iterations = benchmark_mix ? 300 : 400;
-      t0 = std::chrono::steady_clock::now();
-      auto annealed = tool->AnnealingMinCost(goals, constraints,
-                                             configtool::CostModel::Uniform(),
-                                             annealing);
-      const double annealing_ms = MillisSince(t0);
-
-      t0 = std::chrono::steady_clock::now();
-      auto bnb = tool->BranchAndBoundMinCost(goals, constraints);
-      const double bnb_ms = MillisSince(t0);
-
-      const auto record = [&](const char* method,
-                              const Result<configtool::SearchResult>& r,
-                              double ms) {
+      for (const configtool::SearchMethod search_method :
+           {configtool::SearchMethod::kGreedy,
+            configtool::SearchMethod::kExhaustive,
+            configtool::SearchMethod::kBranchAndBound}) {
+        const char* method = configtool::SearchMethodName(search_method);
+        const auto t0 = std::chrono::steady_clock::now();
+        const auto r = configtool::RunSearch(
+            *tool, search_method, goals, constraints, /*site=*/{},
+            configtool::CostModel::Uniform(), configtool::SearchOptions{});
+        const double ms = MillisSince(t0);
         if (!r.ok()) {
           std::fprintf(stderr, "%-8s %-12s search failed: %s\n", level.name,
                        method, r.status().ToString().c_str());
-          return;
+          continue;
         }
         Measurements().push_back({scenario, level.name, method,
                                   r->config.ToString(), r->cost,
@@ -150,11 +136,7 @@ int main(int argc, char** argv) {
                       r->evaluations, r->cache_hits, ms,
                       r->satisfied ? "" : "  (goals unreachable)");
         }
-      };
-      record("greedy", greedy, greedy_ms);
-      record("exhaustive", exhaustive, exhaustive_ms);
-      record("annealing", annealed, annealing_ms);
-      record("bnb", bnb, bnb_ms);
+      }
     }
     if (!json) std::printf("\n");
   }
@@ -180,15 +162,16 @@ int main(int argc, char** argv) {
       std::printf("%-12s %-14s %6s %5s %9s %8s\n", "method", "mode", "evals",
                   "hits", "time[ms]", "speedup");
     }
-    const auto run = [&](const char* method, const char* mode,
-                         size_t threads, bool clear_cache,
+    const auto run = [&](configtool::SearchMethod search_method,
+                         const char* mode, size_t threads, bool clear_cache,
                          double baseline_ms) -> double {
+      const char* method = configtool::SearchMethodName(search_method);
       tool->set_num_threads(threads);
       if (clear_cache) tool->ClearAssessmentCache();
       const auto t0 = std::chrono::steady_clock::now();
-      auto r = std::strcmp(method, "exhaustive") == 0
-                   ? tool->ExhaustiveMinCost(goals, constraints)
-                   : tool->BranchAndBoundMinCost(goals, constraints);
+      const auto r = configtool::RunSearch(
+          *tool, search_method, goals, constraints, /*site=*/{},
+          configtool::CostModel::Uniform(), configtool::SearchOptions{});
       const double ms = MillisSince(t0);
       if (!r.ok()) {
         std::fprintf(stderr, "%s %s failed: %s\n", method, mode,
@@ -206,7 +189,9 @@ int main(int argc, char** argv) {
       }
       return ms;
     };
-    for (const char* method : {"exhaustive", "bnb"}) {
+    for (const configtool::SearchMethod method :
+         {configtool::SearchMethod::kExhaustive,
+          configtool::SearchMethod::kBranchAndBound}) {
       const double cold_ms = run(method, "cold-1-lane", 1, true, 0.0);
       run(method, "cold-n-lanes", lanes, true, cold_ms);
       run(method, "warm-cache", lanes, false, cold_ms);

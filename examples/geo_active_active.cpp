@@ -47,6 +47,10 @@ int main() {
                  assessment.status().ToString().c_str());
     return 1;
   }
+  if (!assessment->error.ok()) {
+    std::fprintf(stderr, "assess: %s\n", assessment->error.ToString().c_str());
+    return 1;
+  }
   std::printf("Placement %s: cost %.0f, availability %.8f\n",
               placement.ToString().c_str(), assessment->cost,
               assessment->performability.availability);

@@ -74,6 +74,10 @@ int main() {
                  assessment.status().ToString().c_str());
     return 1;
   }
+  if (!assessment->error.ok()) {
+    std::fprintf(stderr, "assess: %s\n", assessment->error.ToString().c_str());
+    return 1;
+  }
   std::printf("Baseline %s: availability %.8f, waiting goal %s\n",
               baseline.ToString().c_str(),
               assessment->performability.availability,

@@ -44,6 +44,10 @@ int main() {
                  assessment.status().ToString().c_str());
     return 1;
   }
+  if (!assessment->error.ok()) {
+    std::fprintf(stderr, "assess: %s\n", assessment->error.ToString().c_str());
+    return 1;
+  }
   std::printf("Candidate %s: cost %.0f, availability %.6f, max W = %s -> %s\n",
               candidate.ToString().c_str(), assessment->cost,
               assessment->performability.availability,

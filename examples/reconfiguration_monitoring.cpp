@@ -107,7 +107,7 @@ int main() {
   auto prod_tool = configtool::ConfigurationTool::Create(*calibrated);
   if (!prod_tool.ok()) return 1;
   auto current = prod_tool->Assess(initial->config, goals);
-  if (!current.ok()) return 1;
+  if (!current.ok() || !current->error.ok()) return 1;
   std::printf("\ncurrent configuration %s now %s\n",
               initial->config.ToString().c_str(),
               current->Satisfies() ? "still meets the goals"

@@ -91,6 +91,11 @@ Result<AutotuneReport> RunAutotune(const workflow::Environment& env,
     return Status::InvalidArgument(
         "autotune epoch length exceeds the total duration");
   }
+  if (options.controller.method == configtool::SearchMethod::kGreedySite) {
+    return Status::InvalidArgument(
+        "autotune cannot use the greedy-site search: the control loop "
+        "resizes replication vectors and never places sites");
+  }
   WFMS_RETURN_NOT_OK(env.Validate());
   WFMS_RETURN_NOT_OK(options.initial.Validate(env.num_server_types()));
   WFMS_RETURN_NOT_OK(options.load.Validate(env.workflows.size()));

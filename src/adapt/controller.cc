@@ -60,32 +60,6 @@ std::string JoinNames(const std::vector<std::string>& names) {
 
 }  // namespace
 
-const char* SearchMethodName(SearchMethod method) {
-  switch (method) {
-    case SearchMethod::kGreedy:
-      return "greedy";
-    case SearchMethod::kExhaustive:
-      return "exhaustive";
-    case SearchMethod::kAnnealing:
-      return "annealing";
-    case SearchMethod::kBranchAndBound:
-      return "branch-and-bound";
-  }
-  return "greedy";
-}
-
-Result<SearchMethod> ParseSearchMethod(const std::string& name) {
-  if (name == "greedy") return SearchMethod::kGreedy;
-  if (name == "exhaustive") return SearchMethod::kExhaustive;
-  if (name == "annealing") return SearchMethod::kAnnealing;
-  if (name == "branch-and-bound" || name == "bnb") {
-    return SearchMethod::kBranchAndBound;
-  }
-  return Status::InvalidArgument(
-      "unknown search method '" + name +
-      "' (expected greedy, exhaustive, annealing, or branch-and-bound)");
-}
-
 std::string ReconfigurationPlan::ToString() const {
   std::ostringstream os;
   os << from.ToString() << " -> " << to.ToString() << " (delta";
@@ -231,7 +205,7 @@ Status ReconfigurationController::RunSearch(double now,
     tool.RestoreAssessmentCache(*cache_);
   }
 
-  const char* method_name = SearchMethodName(options_.method);
+  const char* method_name = configtool::SearchMethodName(options_.method);
   configtool::SearchOptions search_options;
   search_options.deadline_seconds = options_.search_deadline_seconds;
   search_options.trace = span.context();
@@ -239,9 +213,7 @@ Status ReconfigurationController::RunSearch(double now,
   if (!options_.checkpoint_path.empty()) {
     search_fingerprint = configtool::SearchFingerprint(
         regime, options_.goals, options_.constraints, options_.cost,
-        method_name,
-        options_.method == SearchMethod::kAnnealing ? &options_.annealing
-                                                    : nullptr);
+        method_name);
     // A stale or missing checkpoint is not an error for the loop — the
     // search simply starts cold.
     auto resumed = configtool::ResumeSearchFrom(
@@ -261,26 +233,12 @@ Status ReconfigurationController::RunSearch(double now,
   WFMS_ASSIGN_OR_RETURN(
       configtool::Assessment current_assessment,
       tool.Assess(current_, options_.goals, options_.cost));
+  WFMS_RETURN_NOT_OK(current_assessment.error);
   const GoalMargins current_margins = MarginsOf(current_assessment);
 
-  Result<configtool::SearchResult> search = [&] {
-    switch (options_.method) {
-      case SearchMethod::kExhaustive:
-        return tool.ExhaustiveMinCost(options_.goals, options_.constraints,
-                                      options_.cost, search_options);
-      case SearchMethod::kAnnealing:
-        return tool.AnnealingMinCost(options_.goals, options_.constraints,
-                                     options_.cost, options_.annealing,
-                                     search_options);
-      case SearchMethod::kBranchAndBound:
-        return tool.BranchAndBoundMinCost(options_.goals, options_.constraints,
-                                          options_.cost, search_options);
-      case SearchMethod::kGreedy:
-      default:
-        return tool.GreedyMinCost(options_.goals, options_.constraints,
-                                  options_.cost, search_options);
-    }
-  }();
+  Result<configtool::SearchResult> search = configtool::RunSearch(
+      tool, options_.method, options_.goals, options_.constraints,
+      /*site=*/{}, options_.cost, search_options);
   WFMS_RETURN_NOT_OK(search.status());
 
   cache_ = tool.DumpAssessmentCache();

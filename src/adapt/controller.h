@@ -35,17 +35,13 @@
 
 namespace wfms::adapt {
 
-enum class SearchMethod { kGreedy, kExhaustive, kAnnealing, kBranchAndBound };
-
-const char* SearchMethodName(SearchMethod method);
-Result<SearchMethod> ParseSearchMethod(const std::string& name);
-
 struct ControllerOptions {
   configtool::Goals goals;
   configtool::SearchConstraints constraints;
   configtool::CostModel cost = configtool::CostModel::Uniform();
-  SearchMethod method = SearchMethod::kGreedy;
-  configtool::AnnealingOptions annealing;
+  /// Any replication-vector search; RunAutotune rejects greedy-site, which
+  /// places sites instead.
+  configtool::SearchMethod method = configtool::SearchMethod::kGreedy;
 
   /// Direct SLO on the *observed* mean turnaround (model time units);
   /// <= 0 disables the check. This is the goal the operator actually

@@ -140,8 +140,7 @@ DecodeCachedFailure(SnapshotReader* r) {
 uint64_t SearchFingerprint(const workflow::Environment& env,
                            const Goals& goals,
                            const SearchConstraints& constraints,
-                           const CostModel& cost, std::string_view strategy,
-                           const AnnealingOptions* annealing) {
+                           const CostModel& cost, std::string_view strategy) {
   // Canonical encoding via the same TLV codec the payload uses: every
   // input that changes what a cached report means (or which candidates a
   // search visits) lands in the hash, bit-exactly for doubles.
@@ -159,13 +158,6 @@ uint64_t SearchFingerprint(const workflow::Environment& env,
   w.VecI32(9, constraints.max_replicas);
   w.VecF64(10, cost.per_server_cost);
   w.Str(11, strategy);
-  if (annealing != nullptr) {
-    w.U64(12, annealing->seed);
-    w.I64(13, annealing->iterations);
-    w.F64(14, annealing->initial_temperature);
-    w.F64(15, annealing->cooling);
-    w.F64(16, annealing->infeasibility_penalty);
-  }
   return Fnv1a64(w.payload());
 }
 
@@ -255,8 +247,7 @@ Result<CheckpointMetadata> ResumeSearchFrom(const ConfigurationTool& tool,
         std::to_string(meta.fingerprint) + ", current " +
         std::to_string(fingerprint) +
         ") — it was taken under a different scenario, goal set, cost "
-        "model, constraint box, or strategy options and cannot be mixed "
-        "in");
+        "model, or constraint box and cannot be mixed in");
   }
 
   ConfigurationTool::CacheDump dump;

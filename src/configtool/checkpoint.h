@@ -4,13 +4,13 @@
 // The durable progress of every search strategy is the assessment
 // memoization cache: each memoized performability report (and each
 // negatively cached terminal failure) is a CTMC construction + solve a
-// resumed search does not repeat. Because all four strategies are
+// resumed search does not repeat. Because every search method is
 // deterministic given (environment, goals, constraints, cost model,
-// strategy options) and produce results independent of cache state (the
-// PR-1 invariant), restoring the cache and re-running the search
-// fast-forwards through pure cache hits to the first unassessed candidate
-// and finishes with a recommendation bit-identical to an uninterrupted
-// run — no frontier or annealing cursor needs to survive the crash.
+// method) and produces results independent of cache state (the PR-1
+// invariant), restoring the cache and re-running the search fast-forwards
+// through pure cache hits to the first unassessed candidate and finishes
+// with a recommendation bit-identical to an uninterrupted run — no
+// frontier cursor needs to survive the crash.
 //
 // A checkpoint is therefore: a fingerprint of everything the cache
 // contents depend on, the strategy name, the externalized cache, and (for
@@ -53,15 +53,13 @@ struct CheckpointMetadata {
 };
 
 /// Hash of everything the checkpointed cache depends on: the serialized
-/// environment, the goals, the constraint box, the cost model, the
-/// strategy name, and (for annealing) the annealing options. Two searches
-/// agree on this value iff a checkpoint of one is a valid resume point for
-/// the other.
+/// environment, the goals, the constraint box, the cost model, and the
+/// strategy (the canonical SearchMethodName). Two searches agree on this
+/// value iff a checkpoint of one is a valid resume point for the other.
 uint64_t SearchFingerprint(const workflow::Environment& env,
                            const Goals& goals,
                            const SearchConstraints& constraints,
-                           const CostModel& cost, std::string_view strategy,
-                           const AnnealingOptions* annealing = nullptr);
+                           const CostModel& cost, std::string_view strategy);
 
 /// Atomically writes the tool's assessment cache plus metadata to `path`.
 /// `best_so_far` may be null (periodic mid-search checkpoints pass null;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <future>
 #include <list>
 #include <map>
 #include <mutex>
@@ -14,7 +13,6 @@
 #include <sstream>
 
 #include "common/metrics.h"
-#include "common/random.h"
 #include "common/time_units.h"
 #include "common/trace.h"
 #include "markov/state_space.h"
@@ -400,57 +398,6 @@ Assessment ConfigurationTool::BuildAssessment(
   return assessment;
 }
 
-Result<Assessment> ConfigurationTool::AssessInternal(
-    const Configuration& config, const Goals& goals, const CostModel& cost,
-    const linalg::Vector* avail_guess, bool* cache_hit,
-    const markov::SteadyStateOptions* solver_override) const {
-  const size_t k = env_->num_server_types();
-  WFMS_RETURN_NOT_OK(goals.Validate(k));
-  WFMS_RETURN_NOT_OK(cost.Validate(k));
-  WFMS_RETURN_NOT_OK(config.Validate(k));
-
-  if (cache_hit != nullptr) *cache_hit = false;
-  // Site-placed configurations key the cache by replicas ++ {-1} ++
-  // site_counts, so a placement and its aggregate never collide.
-  const std::vector<int> key = config.CacheKey();
-  if (auto cached = cache_->Lookup(key)) {
-    cache_->hits.fetch_add(1);
-    CacheHitsTotal().Increment();
-    if (cache_hit != nullptr) *cache_hit = true;
-    Assessment assessment =
-        BuildAssessment(config, *std::move(cached), goals, cost);
-    WFMS_RETURN_NOT_OK(
-        ApplySurvivability(&assessment, goals, solver_override));
-    return assessment;
-  }
-  cache_->misses.fetch_add(1);
-  CacheMissesTotal().Increment();
-  trace::TraceSpan span("configtool/assess", "configtool",
-                        solver_override != nullptr
-                            ? solver_override->budget.trace
-                            : trace::TraceContext{});
-  // Re-parent the solver's context under this span so the steady-state
-  // solve appears as a child of the assessment in the merged trace tree.
-  markov::SteadyStateOptions reparented;
-  if (solver_override != nullptr && solver_override->budget.trace.valid()) {
-    reparented = *solver_override;
-    reparented.budget.trace = span.context();
-    solver_override = &reparented;
-  }
-  const auto eval_start = std::chrono::steady_clock::now();
-  WFMS_ASSIGN_OR_RETURN(performability::PerformabilityReport report,
-                        model_.Evaluate(config, avail_guess, solver_override));
-  AssessmentSeconds().Observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    eval_start)
-          .count());
-  report = cache_->Insert(key, std::move(report));
-  Assessment assessment =
-      BuildAssessment(config, std::move(report), goals, cost);
-  WFMS_RETURN_NOT_OK(ApplySurvivability(&assessment, goals, solver_override));
-  return assessment;
-}
-
 Status ConfigurationTool::ApplySurvivability(
     Assessment* assessment, const Goals& goals,
     const markov::SteadyStateOptions* solver_override) const {
@@ -546,13 +493,23 @@ Assessment FailedAssessment(const Configuration& config, const CostModel& cost,
   return assessment;
 }
 
-/// Records a terminal failure on the search result, deduplicated by
-/// replication vector (the same candidate can be re-encountered across
-/// waves via the negative cache).
-void AppendFailure(const Assessment& assessment, SearchResult* result) {
-  if (result == nullptr || assessment.error.ok()) return;
+/// Adds one assessed candidate to a search's accounting (no-op for a null
+/// `result`). Terminal failures are deduplicated by configuration,
+/// placement included: the negative cache re-serves the same candidate
+/// across waves, while two placements with equal per-type totals are
+/// distinct candidates.
+void Record(const Assessment& assessment, bool cache_hit,
+            SearchResult* result) {
+  if (result == nullptr) return;
+  ++result->evaluations;
+  CandidatesAssessedTotal().Increment();
+  if (cache_hit) {
+    ++result->cache_hits;
+    SearchCacheHitsTotal().Increment();
+  }
+  if (assessment.error.ok()) return;
   for (const FailedCandidate& seen : result->failed_candidates) {
-    if (seen.config.replicas == assessment.config.replicas) return;
+    if (seen.config == assessment.config) return;
   }
   // Counted here — the site that builds the --verbose failure list — so
   // the exported counter equals the number of causes printed.
@@ -577,75 +534,29 @@ bool FitsDenseCap(const Configuration& config, size_t cap) {
   return true;
 }
 
-/// Wall-clock deadline for a whole search, checked at wave/step
-/// boundaries. An absolute `deadline_point` (set by the daemon, or derived
-/// from `deadline_seconds` at strategy entry) takes precedence over the
-/// relative form so queue wait already charged stays charged.
-class SearchDeadline {
- public:
-  explicit SearchDeadline(const SearchOptions& search)
-      : seconds_(search.deadline_seconds) {
-    const auto now = std::chrono::steady_clock::now();
-    if (search.deadline_point != std::chrono::steady_clock::time_point{}) {
-      active_ = true;
-      deadline_ = search.deadline_point;
-      if (seconds_ <= 0.0) {
-        seconds_ = std::chrono::duration<double>(deadline_ - now).count();
-      }
-    } else if (seconds_ > 0.0) {
-      active_ = true;
-      deadline_ = now + std::chrono::duration_cast<
-                            std::chrono::steady_clock::duration>(
-                            std::chrono::duration<double>(seconds_));
-    }
-  }
-
-  bool Expired() const {
-    return active_ && std::chrono::steady_clock::now() >= deadline_;
-  }
-
-  /// Marks the result as deadline-terminated; the caller then returns its
-  /// best-so-far.
-  void Terminate(const char* strategy, SearchResult* result) const {
-    result->termination = Status::DeadlineExceeded(
-        std::string(strategy) + " search hit its deadline of " +
-        std::to_string(seconds_) + "s after " +
-        std::to_string(result->evaluations) +
-        " evaluations; result is best-so-far");
-  }
-
- private:
-  double seconds_;
-  bool active_ = false;
-  std::chrono::steady_clock::time_point deadline_{};
-};
-
-/// Copy of `search` with `deadline_point` materialized from
-/// `deadline_seconds` (when only the relative form was given). Each
-/// strategy normalizes once at entry so per-candidate solver bounding in
-/// AssessIsolated sees the same absolute instant the boundary checks do.
-SearchOptions NormalizedDeadline(const SearchOptions& search_in) {
-  SearchOptions search = search_in;
-  if (search.deadline_point == std::chrono::steady_clock::time_point{} &&
-      search.deadline_seconds > 0.0) {
-    search.deadline_point =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(search.deadline_seconds));
-  }
-  return search;
+/// The monotonic instant `seconds` from now; the epoch (unbounded) for
+/// seconds <= 0.
+std::chrono::steady_clock::time_point DeadlineAfter(double seconds) {
+  if (seconds <= 0.0) return {};
+  return std::chrono::steady_clock::now() +
+         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+             std::chrono::duration<double>(seconds));
 }
 
 /// Everything a search does at a wave/step boundary besides the search
 /// itself: poll the deadline, poll cooperative cancellation, and fire the
 /// periodic checkpoint hook. Exactly one instance per search invocation,
-/// used from the search thread only.
+/// created at search entry (which starts the deadline clock) and used from
+/// the search thread only.
 class SearchBoundary {
  public:
   explicit SearchBoundary(const SearchOptions& search)
       : search_(search),
-        deadline_(search),
+        deadline_(DeadlineAfter(search.deadline_seconds)),
         last_checkpoint_(std::chrono::steady_clock::now()) {}
+
+  /// The absolute deadline each candidate's solve is bounded by.
+  std::chrono::steady_clock::time_point deadline() const { return deadline_; }
 
   /// True when the search must stop now (cancelled or out of time);
   /// `result->termination` is then set and the caller returns its
@@ -659,8 +570,13 @@ class SearchBoundary {
           " evaluations; result is best-so-far");
       return true;
     }
-    if (deadline_.Expired()) {
-      deadline_.Terminate(strategy, result);
+    if (deadline_ != std::chrono::steady_clock::time_point{} &&
+        std::chrono::steady_clock::now() >= deadline_) {
+      result->termination = Status::DeadlineExceeded(
+          std::string(strategy) + " search hit its deadline of " +
+          std::to_string(search_.deadline_seconds) + "s after " +
+          std::to_string(result->evaluations) +
+          " evaluations; result is best-so-far");
       return true;
     }
     if (search_.on_checkpoint) {
@@ -676,7 +592,7 @@ class SearchBoundary {
 
  private:
   const SearchOptions& search_;
-  SearchDeadline deadline_;
+  std::chrono::steady_clock::time_point deadline_;
   std::chrono::steady_clock::time_point last_checkpoint_;
 };
 
@@ -716,67 +632,95 @@ class SearchScope {
 
 }  // namespace
 
-Result<Assessment> ConfigurationTool::AssessIsolated(
+Result<Assessment> ConfigurationTool::AssessCore(
     const Configuration& config, const Goals& goals, const CostModel& cost,
-    const linalg::Vector* avail_guess, const SearchOptions& search,
-    bool* cache_hit) const {
+    const linalg::Vector* avail_guess,
+    std::chrono::steady_clock::time_point deadline,
+    const trace::TraceContext& trace, bool* cache_hit) const {
   const size_t k = env_->num_server_types();
   WFMS_RETURN_NOT_OK(goals.Validate(k));
   WFMS_RETURN_NOT_OK(cost.Validate(k));
   WFMS_RETURN_NOT_OK(config.Validate(k));
 
   if (cache_hit != nullptr) *cache_hit = false;
-  if (auto failed = cache_->LookupFailure(config.CacheKey())) {
+  const auto count_hit = [&] {
     cache_->hits.fetch_add(1);
     CacheHitsTotal().Increment();
     if (cache_hit != nullptr) *cache_hit = true;
+  };
+  // Site-placed configurations key the cache by replicas ++ {-1} ++
+  // site_counts, so a placement and its aggregate never collide.
+  const std::vector<int> key = config.CacheKey();
+  if (auto failed = cache_->LookupFailure(key)) {
+    count_hit();
     return FailedAssessment(config, cost, std::move(failed->error),
                             failed->numerical, failed->retried_exact);
   }
 
-  // With a deadline in force, bound the candidate's steady-state solve by
-  // the wall clock remaining right now: the deadline is enforced *inside*
-  // a solve, not just between candidates, so one heavyweight candidate
-  // cannot overshoot the whole search's budget.
-  markov::SteadyStateOptions bounded_solver;
+  // With a deadline in force, bound the steady-state solve by the wall
+  // clock remaining right now: the deadline is enforced *inside* a solve,
+  // not just between candidates, so one heavyweight candidate cannot
+  // overshoot a whole search's budget. A traced request takes the same
+  // override path so its context reaches the steady-state solver.
+  markov::SteadyStateOptions solver = model_.options().availability.solver;
   const markov::SteadyStateOptions* solver_override = nullptr;
-  if (search.deadline_bounds_solver &&
-      search.deadline_point != std::chrono::steady_clock::time_point{}) {
-    const double remaining =
-        std::chrono::duration<double>(search.deadline_point -
+  if (deadline != std::chrono::steady_clock::time_point{}) {
+    // Floor at 1ms: a search's boundary check will stop it; the solve
+    // itself still gets a sliver so an instant candidate can complete.
+    const double cap = std::max(
+        std::chrono::duration<double>(deadline -
                                       std::chrono::steady_clock::now())
-            .count();
-    // Floor at 1ms: the boundary check will stop the search; the solve
-    // itself still gets a sliver so an instant cache-adjacent candidate
-    // can complete.
-    const double cap = std::max(remaining, 1e-3);
-    bounded_solver = model_.options().availability.solver;
-    if (bounded_solver.budget.max_wall_time_seconds <= 0.0 ||
-        cap < bounded_solver.budget.max_wall_time_seconds) {
-      bounded_solver.budget.max_wall_time_seconds = cap;
+            .count(),
+        1e-3);
+    if (solver.budget.max_wall_time_seconds <= 0.0 ||
+        cap < solver.budget.max_wall_time_seconds) {
+      solver.budget.max_wall_time_seconds = cap;
     }
-    solver_override = &bounded_solver;
+    solver_override = &solver;
   }
-  // A traced request takes the override path even without a deadline so
-  // the context reaches the steady-state solver.
-  if (search.trace.valid()) {
-    if (solver_override == nullptr) {
-      bounded_solver = model_.options().availability.solver;
-      solver_override = &bounded_solver;
-    }
-    bounded_solver.budget.trace = search.trace;
+  if (trace.valid()) {
+    solver.budget.trace = trace;
+    solver_override = &solver;
   }
 
-  auto assessed = AssessInternal(config, goals, cost, avail_guess, cache_hit,
-                                 solver_override);
+  Result<Assessment> assessed = [&]() -> Result<Assessment> {
+    if (auto cached = cache_->Lookup(key)) {
+      count_hit();
+      Assessment assessment =
+          BuildAssessment(config, *std::move(cached), goals, cost);
+      WFMS_RETURN_NOT_OK(
+          ApplySurvivability(&assessment, goals, solver_override));
+      return assessment;
+    }
+    cache_->misses.fetch_add(1);
+    CacheMissesTotal().Increment();
+    trace::TraceSpan span("configtool/assess", "configtool", trace);
+    // Re-parent the solver's context under this span so the steady-state
+    // solve appears as a child of the assessment in the merged trace tree.
+    if (trace.valid()) solver.budget.trace = span.context();
+    const auto eval_start = std::chrono::steady_clock::now();
+    WFMS_ASSIGN_OR_RETURN(
+        performability::PerformabilityReport report,
+        model_.Evaluate(config, avail_guess, solver_override));
+    AssessmentSeconds().Observe(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      eval_start)
+            .count());
+    report = cache_->Insert(key, std::move(report));
+    Assessment assessment =
+        BuildAssessment(config, std::move(report), goals, cost);
+    WFMS_RETURN_NOT_OK(
+        ApplySurvivability(&assessment, goals, solver_override));
+    return assessment;
+  }();
   if (assessed.ok()) return assessed;
+
   Status cause = assessed.status();
-  if (solver_override != nullptr &&
-      cause.code() == StatusCode::kDeadlineExceeded) {
-    // The *deadline we imposed* expired mid-solve. That says nothing about
-    // the candidate itself, so it is returned as an isolated failure but
-    // never negatively cached and never retried with the exact solver — a
-    // resumed or re-issued search re-assesses it cleanly.
+  if (cause.code() == StatusCode::kDeadlineExceeded) {
+    // The solve ran out of wall clock. That says nothing about the
+    // candidate itself, so it is returned as an isolated failure but never
+    // negatively cached and never retried with the exact solver — a
+    // resumed or re-issued request re-assesses it cleanly.
     return FailedAssessment(config, cost, std::move(cause),
                             /*numerical=*/false, /*retried=*/false);
   }
@@ -784,7 +728,7 @@ Result<Assessment> ConfigurationTool::AssessIsolated(
 
   const bool numerical = cause.code() == StatusCode::kNumericError;
   bool retried = false;
-  if (numerical && search.retry_numerical_failures &&
+  if (numerical &&
       FitsDenseCap(config,
                    model_.options().availability.solver.max_dense_states)) {
     retried = true;
@@ -792,82 +736,53 @@ Result<Assessment> ConfigurationTool::AssessIsolated(
         model_.options().availability.solver;
     lu_options.method = markov::SteadyStateMethod::kLu;
     lu_options.budget = {};
-    lu_options.budget.trace = search.trace;  // survive the budget reset
+    lu_options.budget.trace = trace;  // survive the budget reset
     auto exact = model_.Evaluate(config, /*avail_guess=*/nullptr, &lu_options);
     if (exact.ok()) {
-      auto report = cache_->Insert(config.CacheKey(), *std::move(exact));
+      auto report = cache_->Insert(key, *std::move(exact));
       Assessment assessment =
           BuildAssessment(config, std::move(report), goals, cost);
       assessment.retried_exact = true;
       Status applied = ApplySurvivability(&assessment, goals, &lu_options);
-      if (!applied.ok()) {
-        cause = applied.WithContext("after exact LU retry");
-      } else {
-        return assessment;
-      }
+      if (applied.ok()) return assessment;
+      cause = applied.WithContext("after exact LU retry");
     } else {
       cause = exact.status().WithContext("exact LU retry also failed; first " +
                                          cause.ToString());
     }
   }
-  auto stored = cache_->InsertFailure(config.CacheKey(),
-                                      {std::move(cause), numerical, retried});
+  auto stored =
+      cache_->InsertFailure(key, {std::move(cause), numerical, retried});
   return FailedAssessment(config, cost, std::move(stored.error),
                           stored.numerical, stored.retried_exact);
 }
 
-Result<Assessment> ConfigurationTool::AssessCounted(
+Result<Assessment> ConfigurationTool::Assess(
     const Configuration& config, const Goals& goals, const CostModel& cost,
-    const linalg::Vector* avail_guess, const SearchOptions& search,
-    SearchResult* result) const {
-  bool hit = false;
-  WFMS_ASSIGN_OR_RETURN(
-      Assessment assessment,
-      AssessIsolated(config, goals, cost, avail_guess, search, &hit));
-  ++result->evaluations;
-  if (hit) ++result->cache_hits;
-  CandidatesAssessedTotal().Increment();
-  if (hit) SearchCacheHitsTotal().Increment();
-  AppendFailure(assessment, result);
-  return assessment;
+    const AssessOptions& options) const {
+  return AssessCore(config, goals, cost, /*avail_guess=*/nullptr,
+                    DeadlineAfter(options.deadline_seconds), options.trace,
+                    /*cache_hit=*/nullptr);
 }
 
-Result<Assessment> ConfigurationTool::Assess(const Configuration& config,
-                                             const Goals& goals,
-                                             const CostModel& cost) const {
-  return AssessInternal(config, goals, cost, /*avail_guess=*/nullptr,
-                        /*cache_hit=*/nullptr);
-}
-
-Result<Assessment> ConfigurationTool::AssessWithDeadline(
-    const Configuration& config, const Goals& goals,
-    std::chrono::steady_clock::time_point deadline_point,
-    const CostModel& cost, const trace::TraceContext& trace) const {
-  SearchOptions search;
-  search.deadline_point = deadline_point;
-  search.trace = trace;
-  return AssessIsolated(config, goals, cost, /*avail_guess=*/nullptr, search,
-                        /*cache_hit=*/nullptr);
-}
-
-Result<std::vector<Assessment>> ConfigurationTool::AssessBatchInternal(
+Result<std::vector<Assessment>> ConfigurationTool::AssessBatchCore(
     std::span<const Configuration> configs, const Goals& goals,
-    const CostModel& cost, const SearchOptions& search,
-    SearchResult* result) const {
+    const CostModel& cost, std::chrono::steady_clock::time_point deadline,
+    const trace::TraceContext& trace, SearchResult* result) const {
   const size_t n = configs.size();
   std::vector<std::optional<Assessment>> slots(n);
   std::vector<Status> errors(n, Status::OK());
-  std::atomic<int> hits{0};
+  std::vector<char> hits(n, 0);  // not vector<bool>: lanes write concurrently
   pool().ParallelFor(n, [&](size_t i) {
     bool hit = false;
-    auto assessed = AssessIsolated(configs[i], goals, cost,
-                                   /*avail_guess=*/nullptr, search, &hit);
+    auto assessed = AssessCore(configs[i], goals, cost,
+                               /*avail_guess=*/nullptr, deadline, trace, &hit);
     if (assessed.ok()) {
       slots[i] = *std::move(assessed);
     } else {
       errors[i] = assessed.status();
     }
-    if (hit) hits.fetch_add(1);
+    hits[i] = hit ? 1 : 0;
   });
   // Reduce in candidate-index order (first structural error wins
   // deterministically; isolated failures are data and get recorded in the
@@ -879,16 +794,8 @@ Result<std::vector<Assessment>> ConfigurationTool::AssessBatchInternal(
       return errors[i].WithContext("assessing candidate " +
                                    configs[i].ToString());
     }
-    AppendFailure(*slots[i], result);
+    Record(*slots[i], hits[i] != 0, result);
     assessments.push_back(*std::move(slots[i]));
-  }
-  if (result != nullptr) {
-    result->evaluations += static_cast<int>(n);
-    result->cache_hits += hits.load();
-    CandidatesAssessedTotal().Increment(n);
-    if (hits.load() > 0) {
-      SearchCacheHitsTotal().Increment(static_cast<uint64_t>(hits.load()));
-    }
   }
   return assessments;
 }
@@ -896,15 +803,15 @@ Result<std::vector<Assessment>> ConfigurationTool::AssessBatchInternal(
 Result<std::vector<Assessment>> ConfigurationTool::AssessBatch(
     std::span<const Configuration> configs, const Goals& goals,
     const CostModel& cost) const {
-  return AssessBatchInternal(configs, goals, cost, SearchOptions{},
-                             /*result=*/nullptr);
+  return AssessBatchCore(configs, goals, cost, /*deadline=*/{}, /*trace=*/{},
+                         /*result=*/nullptr);
 }
 
 double ConfigurationTool::ViolationMeasure(const Assessment& assessment,
                                            const Goals& goals) const {
   const size_t k = env_->num_server_types();
   // A failed assessment carries no waiting-time data; treat it as worse
-  // than any real violation so the annealer never settles on it.
+  // than any real violation.
   if (!assessment.error.ok() ||
       assessment.performability.expected_waiting.size() < k) {
     return 100.0;
@@ -1003,41 +910,9 @@ constexpr size_t kBnbWaveSize = 16;
 
 }  // namespace
 
-void ConfigurationTool::PrefetchNeighborFrontier(
-    const Configuration& config, const Assessment& parent, const Goals& goals,
-    const CostModel& cost, const SearchConstraints& constraints) const {
-  if (num_threads_ <= 1) return;
-  trace::TraceSpan span("configtool/prefetch_frontier", "configtool");
-  const size_t k = env_->num_server_types();
-  std::vector<std::future<void>> pending;
-  pending.reserve(k);
-  for (size_t x = 0; x < k; ++x) {
-    if (config.replicas[x] >= constraints.MaxFor(x)) continue;
-    Configuration child = config;
-    ++child.replicas[x];
-    auto submitted = pool().Submit([this, child = std::move(child), &parent,
-                                    &goals, &cost]() {
-      // Same warm start the sequential path would use, so a later cache
-      // hit is bit-identical to the miss it replaces.
-      const linalg::Vector guess = WarmStartGuess(parent, child);
-      // Errors surface when the search assesses the candidate for real.
-      auto speculative = AssessInternal(
-          child, goals, cost, guess.empty() ? nullptr : &guess,
-          /*cache_hit=*/nullptr);
-      (void)speculative;
-    });
-    // A pool already shutting down just skips the speculation.
-    if (submitted.ok()) pending.push_back(*std::move(submitted));
-  }
-  // Block until the frontier is resident: the subsequent pick must hit the
-  // cache deterministically rather than race the prefill.
-  for (auto& future : pending) future.wait();
-}
-
 Result<SearchResult> ConfigurationTool::GreedyMinCost(
     const Goals& goals, const SearchConstraints& constraints,
-    const CostModel& cost, const SearchOptions& search_in) const {
-  SearchOptions search = NormalizedDeadline(search_in);
+    const CostModel& cost, const SearchOptions& search) const {
   const size_t k = env_->num_server_types();
   WFMS_RETURN_NOT_OK(constraints.Validate(k));
   Configuration config = MinimalConfig(constraints, k);
@@ -1049,21 +924,19 @@ Result<SearchResult> ConfigurationTool::GreedyMinCost(
 
   SearchResult result;
   SearchScope scope("greedy", &result, search.trace);
-  search.trace = scope.context();
   SearchBoundary boundary(search);
-  WFMS_ASSIGN_OR_RETURN(
-      Assessment assessment,
-      AssessCounted(config, goals, cost, /*avail_guess=*/nullptr, search,
-                    &result));
-
-  // Assesses the one-replica-added successor, reusing the parent's
-  // availability distribution as the iterative solver's starting point.
-  const auto assess_child = [&](const Configuration& child,
-                                const Assessment& parent) {
-    const linalg::Vector guess = WarmStartGuess(parent, child);
-    return AssessCounted(child, goals, cost,
-                         guess.empty() ? nullptr : &guess, search, &result);
+  const auto assess = [&](const Configuration& candidate,
+                          const linalg::Vector* guess) -> Result<Assessment> {
+    bool hit = false;
+    WFMS_ASSIGN_OR_RETURN(
+        Assessment assessed,
+        AssessCore(candidate, goals, cost, guess, boundary.deadline(),
+                   scope.context(), &hit));
+    Record(assessed, hit, &result);
+    return assessed;
   };
+  WFMS_ASSIGN_OR_RETURN(Assessment assessment,
+                        assess(config, /*guess=*/nullptr));
 
   // Fault isolation: a step's candidate failing assessment excludes that
   // server type for the step; the next most critical type is tried. The
@@ -1071,7 +944,11 @@ Result<SearchResult> ConfigurationTool::GreedyMinCost(
   const auto try_grow = [&](size_t pick) -> Result<bool> {
     Configuration child = config;
     ++child.replicas[pick];
-    WFMS_ASSIGN_OR_RETURN(Assessment next, assess_child(child, assessment));
+    // Warm start: the parent's availability distribution seeds the
+    // child's iterative solve.
+    const linalg::Vector guess = WarmStartGuess(assessment, child);
+    WFMS_ASSIGN_OR_RETURN(Assessment next,
+                          assess(child, guess.empty() ? nullptr : &guess));
     if (!next.error.ok()) return false;
     config = std::move(child);
     assessment = std::move(next);
@@ -1085,7 +962,6 @@ Result<SearchResult> ConfigurationTool::GreedyMinCost(
   while (!assessment.Satisfies() && budget > 0) {
     if (boundary.ShouldStop("greedy", &result)) break;
     bool added = false;
-    PrefetchNeighborFrontier(config, assessment, goals, cost, constraints);
 
     if (!assessment.meets_availability_goal) {
       // Most critical type for availability: the one whose probability of
@@ -1173,8 +1049,7 @@ Result<SearchResult> ConfigurationTool::GreedyMinCost(
 
 Result<SearchResult> ConfigurationTool::GreedySiteMinCost(
     const Goals& goals, const SiteSearchConstraints& constraints,
-    const CostModel& cost, const SearchOptions& search_in) const {
-  SearchOptions search = NormalizedDeadline(search_in);
+    const CostModel& cost, const SearchOptions& search) const {
   const size_t k = env_->num_server_types();
   const workflow::SiteTopology& topology = model_.availability().topology();
   const size_t s = topology.num_sites();
@@ -1199,12 +1074,12 @@ Result<SearchResult> ConfigurationTool::GreedySiteMinCost(
 
   SearchResult result;
   SearchScope scope("greedy_site", &result, search.trace);
-  search.trace = scope.context();
   SearchBoundary boundary(search);
-  WFMS_ASSIGN_OR_RETURN(
-      Assessment assessment,
-      AssessCounted(config, goals, cost, /*avail_guess=*/nullptr, search,
-                    &result));
+  bool hit = false;
+  WFMS_ASSIGN_OR_RETURN(Assessment assessment,
+                        AssessCore(config, goals, cost, /*avail_guess=*/nullptr,
+                                   boundary.deadline(), scope.context(), &hit));
+  Record(assessment, hit, &result);
 
   while (!assessment.Satisfies()) {
     if (boundary.ShouldStop("greedy-site", &result)) break;
@@ -1247,9 +1122,10 @@ Result<SearchResult> ConfigurationTool::GreedySiteMinCost(
       }
     }
     if (wave.empty()) break;  // every type is at its cap
-    WFMS_ASSIGN_OR_RETURN(
-        std::vector<Assessment> assessed,
-        AssessBatchInternal(wave, goals, cost, search, &result));
+    WFMS_ASSIGN_OR_RETURN(std::vector<Assessment> assessed,
+                          AssessBatchCore(wave, goals, cost,
+                                          boundary.deadline(), scope.context(),
+                                          &result));
     // Pick: a satisfying candidate with the lowest cost wins; otherwise
     // the candidate with the smallest remaining goal violation
     // (survivability contingencies included). Strict comparisons keep the
@@ -1288,14 +1164,12 @@ Result<SearchResult> ConfigurationTool::GreedySiteMinCost(
 
 Result<SearchResult> ConfigurationTool::ExhaustiveMinCost(
     const Goals& goals, const SearchConstraints& constraints,
-    const CostModel& cost, const SearchOptions& search_in) const {
-  SearchOptions search = NormalizedDeadline(search_in);
+    const CostModel& cost, const SearchOptions& search) const {
   const size_t k = env_->num_server_types();
   WFMS_RETURN_NOT_OK(constraints.Validate(k));
 
   SearchResult result;
   SearchScope scope("exhaustive", &result, search.trace);
-  search.trace = scope.context();
   SearchBoundary boundary(search);
   bool have_best = false;
   Configuration best;
@@ -1335,9 +1209,10 @@ Result<SearchResult> ConfigurationTool::ExhaustiveMinCost(
       if (x == k) enumeration_done = true;  // wrapped: enumeration over
     }
     if (wave.empty()) continue;
-    WFMS_ASSIGN_OR_RETURN(
-        std::vector<Assessment> assessed,
-        AssessBatchInternal(wave, goals, cost, search, &result));
+    WFMS_ASSIGN_OR_RETURN(std::vector<Assessment> assessed,
+                          AssessBatchCore(wave, goals, cost,
+                                          boundary.deadline(), scope.context(),
+                                          &result));
     for (size_t i = 0; i < assessed.size(); ++i) {
       if (assessed[i].Satisfies() &&
           (!have_best || assessed[i].cost < best_cost)) {
@@ -1364,144 +1239,13 @@ Result<SearchResult> ConfigurationTool::ExhaustiveMinCost(
   return result;
 }
 
-Result<SearchResult> ConfigurationTool::AnnealingMinCost(
-    const Goals& goals, const SearchConstraints& constraints,
-    const CostModel& cost, const AnnealingOptions& annealing,
-    const SearchOptions& search_in) const {
-  SearchOptions search = NormalizedDeadline(search_in);
-  const size_t k = env_->num_server_types();
-  WFMS_RETURN_NOT_OK(constraints.Validate(k));
-
-  // Pre-drawn proposal stream: one (type, direction, acceptance-uniform)
-  // triple per iteration, consumed unconditionally. Making the stream
-  // independent of the acceptance outcomes lets iteration i speculatively
-  // prefill the cache for both possible successors of iteration i + 1
-  // while proposal i itself is being assessed (the pipelining below).
-  struct Move {
-    size_t type;
-    int delta;
-    double uniform;
-  };
-  Rng rng(annealing.seed);
-  std::vector<Move> moves(static_cast<size_t>(annealing.iterations));
-  for (Move& move : moves) {
-    move.type = rng.NextUint64(k);
-    move.delta = rng.NextBernoulli(0.5) ? 1 : -1;
-    move.uniform = rng.NextDouble();
-  }
-  const auto apply = [&](const Configuration& base,
-                         const Move& move) -> std::optional<Configuration> {
-    Configuration next = base;
-    next.replicas[move.type] += move.delta;
-    if (next.replicas[move.type] < constraints.MinFor(move.type) ||
-        next.replicas[move.type] > constraints.MaxFor(move.type)) {
-      return std::nullopt;
-    }
-    return next;
-  };
-
-  const auto objective = [&](const Assessment& assessment) {
-    return assessment.cost +
-           annealing.infeasibility_penalty *
-               ViolationMeasure(assessment, goals);
-  };
-
-  SearchResult result;
-  SearchScope scope("annealing", &result, search.trace);
-  search.trace = scope.context();
-  SearchBoundary boundary(search);
-  Configuration current = MinimalConfig(constraints, k);
-  WFMS_ASSIGN_OR_RETURN(
-      Assessment current_assessment,
-      AssessCounted(current, goals, cost, /*avail_guess=*/nullptr, search,
-                    &result));
-  double current_objective = objective(current_assessment);
-
-  bool have_best = current_assessment.Satisfies();
-  Configuration best = current;
-  double best_cost = current_assessment.cost;
-  Assessment best_assessment = current_assessment;
-
-  std::vector<std::future<void>> pipeline;
-  const auto prefill = [&](std::optional<Configuration> candidate) {
-    if (!candidate.has_value()) return;
-    auto submitted =
-        pool().Submit([this, config = *std::move(candidate), &goals, &cost]() {
-          auto speculative = AssessInternal(config, goals, cost,
-                                            /*avail_guess=*/nullptr,
-                                            /*cache_hit=*/nullptr);
-          (void)speculative;
-        });
-    // A pool already shutting down just skips the speculation.
-    if (submitted.ok()) pipeline.push_back(*std::move(submitted));
-  };
-
-  double temperature = annealing.initial_temperature;
-  for (size_t iter = 0; iter < moves.size(); ++iter) {
-    if (boundary.ShouldStop("annealing", &result)) break;
-    const std::optional<Configuration> proposal = apply(current, moves[iter]);
-    if (!proposal.has_value()) continue;
-
-    // Pipeline: while this proposal is assessed, stage both possible
-    // next-iteration proposals (cache prefills, not evaluations).
-    if (num_threads_ > 1 && iter + 1 < moves.size()) {
-      prefill(apply(*proposal, moves[iter + 1]));  // accept branch
-      prefill(apply(current, moves[iter + 1]));    // reject branch
-    }
-
-    WFMS_ASSIGN_OR_RETURN(
-        Assessment assessment,
-        AssessCounted(*proposal, goals, cost, /*avail_guess=*/nullptr, search,
-                      &result));
-    if (!assessment.error.ok()) {
-      // Failed assessment: rejected like any uphill move (recorded in
-      // result.failed_candidates by AssessCounted).
-      temperature *= annealing.cooling;
-      continue;
-    }
-    const double proposal_objective = objective(assessment);
-    const double diff = proposal_objective - current_objective;
-    if (diff <= 0.0 ||
-        moves[iter].uniform <
-            std::exp(-diff / std::max(temperature, 1e-9))) {
-      current = *proposal;
-      current_objective = proposal_objective;
-      if (assessment.Satisfies() &&
-          (!have_best || assessment.cost < best_cost)) {
-        have_best = true;
-        best = *proposal;
-        best_cost = assessment.cost;
-        best_assessment = assessment;
-      }
-      current_assessment = std::move(assessment);
-    }
-    temperature *= annealing.cooling;
-  }
-  for (auto& future : pipeline) future.wait();
-
-  if (have_best) {
-    result.config = best;
-    result.cost = best_cost;
-    result.satisfied = true;
-    result.assessment = std::move(best_assessment);
-  } else {
-    result.config = current;
-    result.cost = current_assessment.cost;
-    result.satisfied = false;
-    result.assessment = std::move(current_assessment);
-  }
-  return result;
-}
-
 Result<SearchResult> ConfigurationTool::BranchAndBoundMinCost(
     const Goals& goals, const SearchConstraints& constraints,
-    const CostModel& cost, const SearchOptions& search_in) const {
-  SearchOptions search = NormalizedDeadline(search_in);
+    const CostModel& cost, const SearchOptions& search) const {
   const size_t k = env_->num_server_types();
   WFMS_RETURN_NOT_OK(constraints.Validate(k));
   SearchResult result;
   SearchScope scope("branch_and_bound", &result, search.trace);
-  search.trace = scope.context();
   SearchBoundary boundary(search);
 
   // Feasibility bound: if the most generous configuration fails, nothing
@@ -1512,10 +1256,12 @@ Result<SearchResult> ConfigurationTool::BranchAndBoundMinCost(
   Configuration max_config;
   max_config.replicas.resize(k);
   for (size_t x = 0; x < k; ++x) max_config.replicas[x] = constraints.MaxFor(x);
-  WFMS_ASSIGN_OR_RETURN(
-      Assessment max_assessment,
-      AssessCounted(max_config, goals, cost, /*avail_guess=*/nullptr, search,
-                    &result));
+  bool hit = false;
+  WFMS_ASSIGN_OR_RETURN(Assessment max_assessment,
+                        AssessCore(max_config, goals, cost,
+                                   /*avail_guess=*/nullptr, boundary.deadline(),
+                                   scope.context(), &hit));
+  Record(max_assessment, hit, &result);
   const bool bound_verified = max_assessment.error.ok();
   if (bound_verified && !max_assessment.Satisfies()) {
     result.config = max_config;
@@ -1567,9 +1313,10 @@ Result<SearchResult> ConfigurationTool::BranchAndBoundMinCost(
               [](const Configuration& a, const Configuration& b) {
                 return a.replicas < b.replicas;
               });
-    WFMS_ASSIGN_OR_RETURN(
-        std::vector<Assessment> assessed,
-        AssessBatchInternal(wave, goals, cost, search, &result));
+    WFMS_ASSIGN_OR_RETURN(std::vector<Assessment> assessed,
+                          AssessBatchCore(wave, goals, cost,
+                                          boundary.deadline(), scope.context(),
+                                          &result));
     for (size_t i = 0; i < assessed.size(); ++i) {
       if (assessed[i].Satisfies()) {
         result.config = wave[i];
@@ -1602,6 +1349,74 @@ Result<SearchResult> ConfigurationTool::BranchAndBoundMinCost(
   result.satisfied = false;
   result.assessment = std::move(last_assessment);
   return result;
+}
+
+namespace {
+
+/// The search-method table. Order is the order error messages list them.
+struct MethodEntry {
+  SearchMethod method;
+  const char* name;
+};
+constexpr MethodEntry kSearchMethods[] = {
+    {SearchMethod::kGreedy, "greedy"},
+    {SearchMethod::kGreedySite, "greedy-site"},
+    {SearchMethod::kExhaustive, "exhaustive"},
+    {SearchMethod::kBranchAndBound, "bnb"},
+};
+
+std::string SupportedSearchMethods() {
+  std::string names;
+  for (const MethodEntry& entry : kSearchMethods) {
+    if (!names.empty()) names += ", ";
+    names += entry.name;
+  }
+  return names;
+}
+
+}  // namespace
+
+const char* SearchMethodName(SearchMethod method) {
+  for (const MethodEntry& entry : kSearchMethods) {
+    if (entry.method == method) return entry.name;
+  }
+  return "unknown";
+}
+
+Result<SearchMethod> ParseSearchMethod(std::string_view name) {
+  for (const MethodEntry& entry : kSearchMethods) {
+    if (name == entry.name) return entry.method;
+  }
+  if (name == "branch-and-bound") return SearchMethod::kBranchAndBound;
+  if (name == "annealing") {
+    return Status::InvalidArgument(
+        "search method 'annealing' was removed (branch-and-bound is exact "
+        "and cheaper); supported methods: " +
+        SupportedSearchMethods());
+  }
+  return Status::InvalidArgument("unknown search method '" +
+                                 std::string(name) +
+                                 "'; supported methods: " +
+                                 SupportedSearchMethods());
+}
+
+Result<SearchResult> RunSearch(const ConfigurationTool& tool,
+                               SearchMethod method, const Goals& goals,
+                               const SearchConstraints& constraints,
+                               const SiteSearchConstraints& site,
+                               const CostModel& cost,
+                               const SearchOptions& search) {
+  switch (method) {
+    case SearchMethod::kGreedy:
+      return tool.GreedyMinCost(goals, constraints, cost, search);
+    case SearchMethod::kGreedySite:
+      return tool.GreedySiteMinCost(goals, site, cost, search);
+    case SearchMethod::kExhaustive:
+      return tool.ExhaustiveMinCost(goals, constraints, cost, search);
+    case SearchMethod::kBranchAndBound:
+      return tool.BranchAndBoundMinCost(goals, constraints, cost, search);
+  }
+  return Status::Internal("unhandled search method");
 }
 
 std::string ConfigurationTool::RenderRecommendation(

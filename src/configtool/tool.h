@@ -1,22 +1,24 @@
 // The configuration tool of §7: assessment of candidate configurations
 // against performability goals and search for a (near-)minimum-cost
-// configuration. Three search strategies:
-//  - Greedy (§7.2): interleaves the availability and performability
+// configuration. Four search methods, named by one table (SearchMethod):
+//  - greedy (§7.2): interleaves the availability and performability
 //    criteria, adding one replica of the most critical server type at a
 //    time — the paper's first-version heuristic.
-//  - Exhaustive: enumerates the constrained configuration space and
+//  - greedy-site: the same idea over per-site placements (DESIGN.md §12).
+//  - exhaustive: enumerates the constrained configuration space and
 //    returns the cheapest satisfying configuration — the optimality
 //    baseline the greedy result is benchmarked against.
-//  - Simulated annealing: the "full-fledged mathematical optimization"
-//    the paper names as the eventual successor of the greedy heuristic.
+//  - bnb (branch-and-bound): the exact "full-fledged mathematical
+//    optimization" the paper names as the greedy heuristic's successor.
 //
 // Throughput layer (see DESIGN.md "Concurrency model"): candidate
 // assessments are memoized in a thread-safe cache keyed by the replication
-// vector, fanned out across a fixed-size thread pool via AssessBatch, and
-// the iterative availability solves on the greedy path are warm-started
-// from the parent configuration's stationary vector. Search results are
-// bit-identical whatever the thread count: parallel waves are reduced in
-// candidate-index order, never completion order.
+// vector, the exhaustive and branch-and-bound waves fan out across a
+// fixed-size thread pool via AssessBatch, and the iterative availability
+// solves on the greedy path are warm-started from the parent
+// configuration's stationary vector. Search results are bit-identical
+// whatever the thread count: parallel waves are reduced in candidate-index
+// order, never completion order.
 #ifndef WFMS_CONFIGTOOL_TOOL_H_
 #define WFMS_CONFIGTOOL_TOOL_H_
 
@@ -26,6 +28,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -132,31 +135,39 @@ struct FailedCandidate {
   bool retried_exact = false;  // the LU retry also ran and failed
 };
 
+/// The search-method table: every search the tool offers, by the one name
+/// the CLI, the daemon protocol, the adapt controller and checkpoint
+/// fingerprints all use.
+enum class SearchMethod { kGreedy, kGreedySite, kExhaustive, kBranchAndBound };
+
+/// Canonical name: "greedy", "greedy-site", "exhaustive" or "bnb".
+const char* SearchMethodName(SearchMethod method);
+/// Inverse of SearchMethodName; also accepts "branch-and-bound" for bnb.
+/// Anything else is InvalidArgument naming the supported methods.
+Result<SearchMethod> ParseSearchMethod(std::string_view name);
+
+/// Per-call controls for ConfigurationTool::Assess.
+struct AssessOptions {
+  /// Wall-clock cap on the assessment's steady-state solves, counted from
+  /// the call; <= 0 means unlimited. An expiry comes back as
+  /// Assessment::error = DeadlineExceeded and is never negatively cached,
+  /// so a later call re-solves cleanly.
+  double deadline_seconds = 0.0;
+  /// Request-trace context (DESIGN.md §13): parents the assessment's
+  /// solver spans. Invalid (default) outside a traced request.
+  trace::TraceContext trace;
+};
+
 /// Search-level execution controls, orthogonal to goals and constraints.
 struct SearchOptions {
-  /// Wall-clock cap for the whole search; <= 0 means unlimited. On expiry
-  /// the search stops at the next wave/step boundary and returns its
-  /// best-so-far with SearchResult::termination set to DeadlineExceeded.
+  /// Wall-clock cap for the whole search, counted from the call; <= 0
+  /// means unlimited. On expiry the search stops at the next wave/step
+  /// boundary and returns its best-so-far with SearchResult::termination
+  /// set to DeadlineExceeded. Each candidate's steady-state solve is also
+  /// bounded by the time remaining when its assessment starts, so one slow
+  /// solve cannot overshoot the deadline; such an expiry is never
+  /// negatively cached (the candidate re-assesses cleanly on resume).
   double deadline_seconds = 0.0;
-  /// Absolute variant of `deadline_seconds`: when set (non-epoch), the
-  /// search expires at this monotonic instant regardless of when it
-  /// started — the daemon charges queue wait against the request's
-  /// deadline this way. When unset, the strategies derive it from
-  /// `deadline_seconds` at search entry.
-  std::chrono::steady_clock::time_point deadline_point{};
-  /// With a deadline in force, also bound each candidate's availability
-  /// steady-state solve by the wall-clock remaining when its assessment
-  /// starts (SolveBudget::max_wall_time_seconds) — the deadline is
-  /// enforced *inside* a solve, not only between candidates, so one slow
-  /// solve cannot overshoot it. A deadline-bounded solve failure is
-  /// transient: it is never negatively cached and never retried with the
-  /// exact solver (the candidate re-assesses cleanly on resume). No
-  /// effect without a deadline; on by default.
-  bool deadline_bounds_solver = true;
-  /// Retry a numerically failed candidate once with the exact LU solver
-  /// (honoring the configured max_dense_states) before declaring it
-  /// failed.
-  bool retry_numerical_failures = true;
   /// Cooperative cancellation (e.g. a SIGINT/SIGTERM flag), polled at the
   /// same wave/step boundaries as the deadline. When it reads true the
   /// search stops and returns its best-so-far with termination set to
@@ -184,31 +195,23 @@ struct SearchResult {
   workflow::Configuration config;
   double cost = 0.0;
   bool satisfied = false;
-  /// Number of candidate configurations evaluated by the search logic
-  /// (speculative cache prefills are not counted).
+  /// Number of candidate configurations evaluated by the search logic.
   int evaluations = 0;
   /// Of `evaluations`, how many were served from the assessment cache.
-  /// An execution statistic: unlike every other field it may legitimately
-  /// vary with the thread count and with prior searches on the same tool.
+  /// Depends on what earlier calls left in the cache, but not on the
+  /// thread count — except in a greedy-site wave that lists one placement
+  /// twice (a coverage move that adds a single replica), where concurrent
+  /// lanes may both miss.
   int cache_hits = 0;
-  /// Candidates whose assessment terminally failed (deduplicated, in the
-  /// order the search first encountered them). The search continues around
-  /// them; they are never recommended.
+  /// Candidates whose assessment terminally failed (deduplicated by
+  /// configuration, placement included, in the order the search first
+  /// encountered them). The search continues around them; they are never
+  /// recommended.
   std::vector<FailedCandidate> failed_candidates;
   /// OK for a complete search; DeadlineExceeded when the search stopped at
   /// SearchOptions::deadline_seconds and `config` is only best-so-far.
   Status termination;
   Assessment assessment;
-};
-
-struct AnnealingOptions {
-  uint64_t seed = 42;
-  int iterations = 2000;
-  double initial_temperature = 4.0;
-  double cooling = 0.995;
-  /// Penalty weight for goal violations (makes infeasible configurations
-  /// strictly worse than any feasible one in the sampled space).
-  double infeasibility_penalty = 1000.0;
 };
 
 class ConfigurationTool {
@@ -229,42 +232,31 @@ class ConfigurationTool {
   /// performability report is cached per replication vector, so repeated
   /// assessments of the same configuration — even under different goals or
   /// cost models — skip the CTMC construction and solve entirely.
+  /// Fault-isolated (DESIGN.md §6): a numerical evaluation failure is
+  /// retried once with the exact LU solver when the state space fits the
+  /// configured dense cap, and a terminal one comes back as an Assessment
+  /// with `error` set (and is negatively cached). Only structural errors
+  /// (invalid goals/cost/configuration) are a Status.
   Result<Assessment> Assess(const workflow::Configuration& config,
                             const Goals& goals,
-                            const CostModel& cost = CostModel::Uniform()) const;
-
-  /// Assess with a per-request absolute deadline (the wfmsd daemon's
-  /// entry point): the availability solve is budget-bounded by the wall
-  /// clock remaining at call time (SearchOptions::deadline_bounds_solver
-  /// semantics) and fault-isolated — terminal failures come back as an
-  /// Assessment with `error` set. A deadline expiry surfaces as
-  /// `error` = DeadlineExceeded and is never negatively cached, so a
-  /// retry after the load spike re-solves cleanly. `trace` (optional)
-  /// parents the assessment's solver spans under the request's trace.
-  Result<Assessment> AssessWithDeadline(
-      const workflow::Configuration& config, const Goals& goals,
-      std::chrono::steady_clock::time_point deadline_point,
-      const CostModel& cost = CostModel::Uniform(),
-      const trace::TraceContext& trace = {}) const;
+                            const CostModel& cost = CostModel::Uniform(),
+                            const AssessOptions& options = {}) const;
 
   /// Assesses a batch of candidates, fanning the model evaluations out
   /// across the tool's thread pool. The returned vector is index-aligned
   /// with `configs`; entry i is bit-identical to what a sequential
-  /// Assess(configs[i], ...) would produce. Fault-isolated: a candidate
-  /// whose model evaluation fails numerically comes back with
-  /// Assessment::error set instead of failing the batch; only structural
-  /// errors (invalid goals/cost/configuration) abort, with the first
-  /// (lowest-index) one winning deterministically.
+  /// Assess(configs[i], ...) would produce, failures included. Only
+  /// structural errors abort, with the first (lowest-index) one winning
+  /// deterministically.
   Result<std::vector<Assessment>> AssessBatch(
       std::span<const workflow::Configuration> configs, const Goals& goals,
       const CostModel& cost = CostModel::Uniform()) const;
 
   /// §7.2 greedy heuristic. Iterative availability solves along the chain
   /// of grown configurations are warm-started from the parent's stationary
-  /// vector; with a multi-lane pool the admissible neighbor frontier of
-  /// each step is assessed in parallel ahead of the pick. A growth step
-  /// whose candidate fails assessment excludes that server type for the
-  /// step and re-picks the next most critical one.
+  /// vector. Each step assesses only the child it picked, on the calling
+  /// thread. A growth step whose candidate fails assessment excludes that
+  /// server type for the step and re-picks the next most critical one.
   Result<SearchResult> GreedyMinCost(
       const Goals& goals, const SearchConstraints& constraints = {},
       const CostModel& cost = CostModel::Uniform(),
@@ -279,18 +271,8 @@ class ConfigurationTool {
       const CostModel& cost = CostModel::Uniform(),
       const SearchOptions& search = {}) const;
 
-  /// Simulated-annealing search. Proposal evaluation is pipelined: while
-  /// a proposal is assessed, both possible successor proposals (accept and
-  /// reject branch) are speculatively prefilled into the cache. A proposal
-  /// that fails assessment is rejected like any uphill move.
-  Result<SearchResult> AnnealingMinCost(
-      const Goals& goals, const SearchConstraints& constraints = {},
-      const CostModel& cost = CostModel::Uniform(),
-      const AnnealingOptions& annealing = {},
-      const SearchOptions& search = {}) const;
-
-  /// Branch-and-bound search (the other "full-fledged" optimizer the
-  /// paper names): best-first expansion in cost order with monotonicity
+  /// Branch-and-bound search (the "full-fledged" optimizer the paper
+  /// names): best-first expansion in cost order with monotonicity
   /// pruning — adding a replica never hurts either goal, so (a) the first
   /// satisfying configuration dequeued is cost-optimal, and (b) if even
   /// the all-max configuration fails, the search aborts immediately.
@@ -398,42 +380,25 @@ class ConfigurationTool {
   ConfigurationTool(const workflow::Environment* env,
                     performability::PerformabilityModel model);
 
-  /// Cache-aware assessment core. `avail_guess` optionally warm-starts the
-  /// availability solve on a miss; `cache_hit` (optional) reports whether
-  /// the report came from the cache. `solver_override`, when non-null,
-  /// replaces the configured availability solver options for a miss (used
-  /// to bound a solve by a search deadline).
-  Result<Assessment> AssessInternal(
-      const workflow::Configuration& config, const Goals& goals,
-      const CostModel& cost, const linalg::Vector* avail_guess,
-      bool* cache_hit,
-      const markov::SteadyStateOptions* solver_override = nullptr) const;
-  /// Fault-isolating wrapper around AssessInternal: a numerical evaluation
-  /// failure is retried once with the exact LU solver (when
-  /// `search.retry_numerical_failures` and the state space fits the
-  /// configured dense cap) and, if terminal, returned as an Assessment
-  /// with `error` set rather than a Status. Terminal failures are
-  /// negatively cached; deadline-bounded solve expiries are not (they are
-  /// a property of the budget, not the candidate). Structural errors
-  /// (invalid goals/cost/configuration) still surface as Status.
-  Result<Assessment> AssessIsolated(const workflow::Configuration& config,
-                                    const Goals& goals, const CostModel& cost,
-                                    const linalg::Vector* avail_guess,
-                                    const SearchOptions& search,
-                                    bool* cache_hit) const;
-  /// AssessIsolated + SearchResult accounting (evaluations, cache hits,
-  /// failed_candidates).
-  Result<Assessment> AssessCounted(const workflow::Configuration& config,
-                                   const Goals& goals, const CostModel& cost,
-                                   const linalg::Vector* avail_guess,
-                                   const SearchOptions& search,
-                                   SearchResult* result) const;
-  /// Batch core used by the searches; adds hit counts and failed
-  /// candidates to *result.
-  Result<std::vector<Assessment>> AssessBatchInternal(
+  /// The one assessment core behind Assess, AssessBatch and the searches:
+  /// negative then positive cache lookup and, on a miss, the model
+  /// evaluation — warm-started from `avail_guess` when non-null, its
+  /// solves bounded by the wall clock left until `deadline` (the epoch
+  /// means unbounded) and parented under `trace` — with the fault
+  /// isolation Assess documents. `cache_hit` (optional) reports whether
+  /// the answer came from the cache.
+  Result<Assessment> AssessCore(const workflow::Configuration& config,
+                                const Goals& goals, const CostModel& cost,
+                                const linalg::Vector* avail_guess,
+                                std::chrono::steady_clock::time_point deadline,
+                                const trace::TraceContext& trace,
+                                bool* cache_hit) const;
+  /// AssessCore across the pool, reduced in index order; records every
+  /// candidate on `result` when it is non-null.
+  Result<std::vector<Assessment>> AssessBatchCore(
       std::span<const workflow::Configuration> configs, const Goals& goals,
-      const CostModel& cost, const SearchOptions& search,
-      SearchResult* result) const;
+      const CostModel& cost, std::chrono::steady_clock::time_point deadline,
+      const trace::TraceContext& trace, SearchResult* result) const;
   /// Derives goal verdicts and instance delays from a memoized report.
   Assessment BuildAssessment(const workflow::Configuration& config,
                              performability::PerformabilityReport report,
@@ -446,15 +411,9 @@ class ConfigurationTool {
   Status ApplySurvivability(
       Assessment* assessment, const Goals& goals,
       const markov::SteadyStateOptions* solver_override) const;
-  /// Speculatively assesses every admissible +1 neighbor of `config` on
-  /// the pool (warm-started from `parent`), blocking until the cache holds
-  /// them all. No-op with a single lane.
-  void PrefetchNeighborFrontier(const workflow::Configuration& config,
-                                const Assessment& parent, const Goals& goals,
-                                const CostModel& cost,
-                                const SearchConstraints& constraints) const;
 
-  /// Degree of goal violation for annealing (0 when satisfied).
+  /// Degree of goal violation, the greedy-site pick's ranking of
+  /// unsatisfying candidates (0 when satisfied).
   double ViolationMeasure(const Assessment& assessment,
                           const Goals& goals) const;
 
@@ -464,11 +423,20 @@ class ConfigurationTool {
   performability::PerformabilityModel model_;
   size_t num_threads_;
   std::unique_ptr<AssessmentCache> cache_;
-  /// Lazily constructed; declared last so that in-flight speculative tasks
-  /// drain (pool destruction joins workers) while the model and cache are
-  /// still alive.
+  /// Lazily constructed; declared last so that pool destruction joins the
+  /// workers while the model and cache are still alive.
   mutable std::unique_ptr<ThreadPool> pool_;
 };
+
+/// Runs `method` on `tool`: the one place a parsed method name becomes a
+/// search. greedy-site searches per-site placements under `site`; every
+/// other method searches replication vectors under `constraints`.
+Result<SearchResult> RunSearch(const ConfigurationTool& tool,
+                               SearchMethod method, const Goals& goals,
+                               const SearchConstraints& constraints,
+                               const SiteSearchConstraints& site,
+                               const CostModel& cost,
+                               const SearchOptions& search);
 
 }  // namespace wfms::configtool
 

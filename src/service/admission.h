@@ -9,8 +9,8 @@
 //  - A queue-load degradation ladder, evaluated against the worker pool's
 //    queue depth at admission time:
 //        level 0  (< level1_fraction of the bound)   full fidelity
-//        level 1  (>= level1_fraction)  downgrade: exhaustive/annealing/
-//                 bnb searches fall back to greedy, budgets tighten,
+//        level 1  (>= level1_fraction)  downgrade: exhaustive and bnb
+//                 searches fall back to greedy, budgets tighten,
 //                 autotune is shed
 //        level 2  (>= level2_fraction)  cache-only: assess answers only
 //                 from the memoization cache (a miss is shed), recommend

@@ -364,25 +364,13 @@ Response Backend::HandleAssess(const Request& req, ScenarioState& state,
                         "is not cached");
   }
 
-  Result<configtool::Assessment> assessed = [&]() {
-    if (std::isfinite(remaining_seconds)) {
-      return state.tool->AssessWithDeadline(
-          config, GoalsOf(req),
-          std::chrono::steady_clock::now() +
-              std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(remaining_seconds)),
-          configtool::CostModel::Uniform(), trace);
-    }
-    if (trace.valid()) {
-      // No deadline, but a traced request: the epoch deadline_point means
-      // "unbounded" to the deadline machinery while the context still
-      // rides SearchOptions::trace down into the solver spans.
-      return state.tool->AssessWithDeadline(
-          config, GoalsOf(req), std::chrono::steady_clock::time_point{},
-          configtool::CostModel::Uniform(), trace);
-    }
-    return state.tool->Assess(config, GoalsOf(req));
-  }();
+  configtool::AssessOptions assess_options;
+  if (std::isfinite(remaining_seconds)) {
+    assess_options.deadline_seconds = remaining_seconds;
+  }
+  assess_options.trace = trace;
+  Result<configtool::Assessment> assessed = state.tool->Assess(
+      config, GoalsOf(req), configtool::CostModel::Uniform(), assess_options);
   if (!assessed.ok()) return ErrorResponse(req, assessed.status());
   if (telemetry != nullptr && !was_cached) {
     telemetry->solver_rungs = assessed->performability.solver_rungs;
@@ -419,14 +407,20 @@ Response Backend::HandleRecommend(const Request& req, ScenarioState& state,
     return ShedResponse(req, "recommend shed in cache-only degraded mode");
   }
 
-  std::string method = req.method;
+  // Parse before the downgrade below, so a bad name is an error at every
+  // load level.
+  Result<configtool::SearchMethod> method =
+      configtool::ParseSearchMethod(req.method);
+  if (!method.ok()) return ErrorResponse(req, method.status());
   std::string degrade_reason;
   if (degrade_level >= 1) {
     // greedy-site is already the cheapest multi-site strategy (and the
     // classic greedy cannot place sites), so it is not downgraded.
-    if (method != "greedy" && method != "greedy-site") {
-      degrade_reason = "strategy downgraded " + method + " -> greedy";
-      method = "greedy";
+    if (*method != configtool::SearchMethod::kGreedy &&
+        *method != configtool::SearchMethod::kGreedySite) {
+      degrade_reason = std::string("strategy downgraded ") +
+                       configtool::SearchMethodName(*method) + " -> greedy";
+      method = configtool::SearchMethod::kGreedy;
     }
     if (!(remaining_seconds < kDegradedSearchBudgetSeconds)) {
       remaining_seconds = kDegradedSearchBudgetSeconds;
@@ -444,31 +438,12 @@ Response Backend::HandleRecommend(const Request& req, ScenarioState& state,
   if (std::isfinite(remaining_seconds)) {
     search.deadline_seconds = remaining_seconds;
   }
-  const configtool::Goals goals = GoalsOf(req);
-  const configtool::CostModel cost = configtool::CostModel::Uniform();
-  configtool::AnnealingOptions annealing;
-  annealing.iterations = std::max(1, req.iterations);
+  configtool::SiteSearchConstraints site_constraints;
+  site_constraints.max_per_type = std::max(1, req.max_replicas);
 
-  Result<configtool::SearchResult> result =
-      Status::InvalidArgument("bad method '" + method +
-                              "' (greedy|greedy-site|exhaustive|annealing|"
-                              "bnb)");
-  if (method == "greedy") {
-    result = state.tool->GreedyMinCost(goals, constraints, cost, search);
-  } else if (method == "greedy-site") {
-    configtool::SiteSearchConstraints site_constraints;
-    site_constraints.max_per_type = std::max(1, req.max_replicas);
-    result = state.tool->GreedySiteMinCost(goals, site_constraints, cost,
-                                           search);
-  } else if (method == "exhaustive") {
-    result = state.tool->ExhaustiveMinCost(goals, constraints, cost, search);
-  } else if (method == "annealing") {
-    result = state.tool->AnnealingMinCost(goals, constraints, cost, annealing,
-                                          search);
-  } else if (method == "bnb") {
-    result = state.tool->BranchAndBoundMinCost(goals, constraints, cost,
-                                               search);
-  }
+  Result<configtool::SearchResult> result = configtool::RunSearch(
+      *state.tool, *method, GoalsOf(req), constraints, site_constraints,
+      configtool::CostModel::Uniform(), search);
   if (!result.ok()) return ErrorResponse(req, result.status());
   if (result->termination.code() == StatusCode::kDeadlineExceeded) {
     return DeadlineResponse(req, result->termination.ToString());
@@ -491,7 +466,7 @@ Response Backend::HandleRecommend(const Request& req, ScenarioState& state,
   }
   payload.Set("cost", Json::Number(result->cost));
   payload.Set("satisfied", Json::Bool(result->satisfied));
-  payload.Set("method", Json::Str(method));
+  payload.Set("method", Json::Str(configtool::SearchMethodName(*method)));
   payload.Set("evaluations", Json::Number(result->evaluations));
   payload.Set("failed_candidates",
               Json::Number(static_cast<double>(
@@ -550,7 +525,7 @@ Response Backend::HandleAutotune(const Request& req, ScenarioState& state,
   options.controller.constraints.max_replicas.assign(
       state.env->num_server_types(), std::max(1, req.max_replicas));
   options.controller.max_turnaround = req.max_turnaround;
-  auto method = adapt::ParseSearchMethod(req.method);
+  auto method = configtool::ParseSearchMethod(req.method);
   if (!method.ok()) return ErrorResponse(req, method.status());
   options.controller.method = *method;
   if (std::isfinite(remaining_seconds)) {

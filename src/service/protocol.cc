@@ -87,8 +87,6 @@ Result<Request> ParseRequest(std::string_view line) {
   req.method = doc.GetString("method", req.method);
   req.max_replicas =
       static_cast<int>(doc.GetNumber("max_replicas", req.max_replicas));
-  req.iterations =
-      static_cast<int>(doc.GetNumber("iterations", req.iterations));
   req.deadline_seconds =
       doc.GetNumber("deadline_seconds", req.deadline_seconds);
   req.duration = doc.GetNumber("duration", req.duration);

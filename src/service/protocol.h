@@ -47,8 +47,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/result.h"
-#include "service/json.h"
 
 namespace wfms::service {
 
@@ -82,7 +82,6 @@ struct Request {
   double degraded_min_avail = -1.0;  // < 0: inherit min_avail
   std::string method = "greedy";  // recommend/autotune search strategy
   int max_replicas = 8;
-  int iterations = 2000;          // annealing
   double deadline_seconds = 0.0;  // <= 0: server default
   // Autotune horizon (model minutes).
   double duration = 4000.0;

@@ -390,13 +390,18 @@ void Server::ConsumeBuffer(const std::shared_ptr<Connection>& conn,
 
   if (buffer.size() > options_.max_line_bytes) {
     // A line this long cannot be resynchronized reliably; answer once
-    // and drop the connection.
+    // and drop the connection. Like an unparseable line, it gets a minted
+    // trace id so /debug/requests can find it.
+    RequestsTotal().Increment();
+    RequestTelemetry telemetry;
+    telemetry.context = trace::TraceContext::Mint();
     Response resp;
     resp.disposition = Disposition::kError;
     resp.error = "request line exceeds " +
                  std::to_string(options_.max_line_bytes) + " bytes";
-    RequestsTotal().Increment();
-    WriteResponse(conn, resp);
+    resp.trace_id = telemetry.context.trace_id_hex();
+    Respond(conn, resp, /*tenant=*/"", /*op=*/"invalid", telemetry,
+            std::chrono::steady_clock::now(), buffer.size());
     *one_shot = true;
   }
 }
@@ -545,25 +550,14 @@ void Server::ServeHttp(const std::shared_ptr<Connection>& conn,
   if (!WriteAll(conn->fd, response)) conn->alive.store(false);
 }
 
-void Server::WriteResponse(const std::shared_ptr<Connection>& conn,
-                           const Response& response) {
-  DispositionCounter(response.disposition).Increment();
-  // The latency exemplar links the histogram's max bucket to a concrete
-  // trace id in /metrics.json (DESIGN.md §13).
-  RequestSeconds().Observe(response.elapsed_seconds, response.trace_id);
-  std::string line = response.Render();
-  line.push_back('\n');
-  std::lock_guard<std::mutex> lock(conn->write_mutex);
-  if (!conn->alive.load()) return;  // client hung up; accounting still done
-  if (!WriteAll(conn->fd, line)) conn->alive.store(false);
-}
-
 void Server::Respond(const std::shared_ptr<Connection>& conn,
                      const Response& response, const std::string& tenant,
                      const char* op, const RequestTelemetry& telemetry,
                      std::chrono::steady_clock::time_point arrival,
                      size_t bytes_in) {
   DispositionCounter(response.disposition).Increment();
+  // The latency exemplar links the histogram's max bucket to a concrete
+  // trace id in /metrics.json (DESIGN.md §13).
   RequestSeconds().Observe(response.elapsed_seconds, response.trace_id);
   std::string line = response.Render();
   line.push_back('\n');

@@ -121,17 +121,12 @@ class Server {
   /// Answers an HTTP GET (metrics scrape) and closes the connection.
   void ServeHttp(const std::shared_ptr<Connection>& conn,
                  const std::string& first_line);
-  /// The response-write site for lines that never became a request (e.g.
-  /// oversized input): renders, writes, and does the per-disposition
-  /// accounting the load driver cross-checks.
-  void WriteResponse(const std::shared_ptr<Connection>& conn,
-                     const Response& response);
-  /// The single exit path for every parsed request: accounts the
-  /// disposition, commits the flight-recorder record (and slow-request
-  /// log) *before* the rendered response hits the wire — a client that
-  /// scrapes /debug/requests right after its response must find its own
-  /// record — then writes. Accounting happens even when the client hung
-  /// up.
+  /// The single exit path for every protocol line, oversized and
+  /// unparseable ones included: accounts the disposition, commits the
+  /// flight-recorder record (and slow-request log) *before* the rendered
+  /// response hits the wire — a client that scrapes /debug/requests right
+  /// after its response must find its own record — then writes.
+  /// Accounting happens even when the client hung up.
   void Respond(const std::shared_ptr<Connection>& conn,
                const Response& response, const std::string& tenant,
                const char* op, const RequestTelemetry& telemetry,

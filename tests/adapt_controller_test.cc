@@ -60,20 +60,6 @@ void FeedCompletions(ReconfigurationController* controller, double t0,
   }
 }
 
-TEST(SearchMethodTest, NamesRoundTrip) {
-  for (SearchMethod method :
-       {SearchMethod::kGreedy, SearchMethod::kExhaustive,
-        SearchMethod::kAnnealing, SearchMethod::kBranchAndBound}) {
-    auto parsed = ParseSearchMethod(SearchMethodName(method));
-    ASSERT_TRUE(parsed.ok()) << parsed.status();
-    EXPECT_EQ(*parsed, method);
-  }
-  auto bnb = ParseSearchMethod("bnb");
-  ASSERT_TRUE(bnb.ok());
-  EXPECT_EQ(*bnb, SearchMethod::kBranchAndBound);
-  EXPECT_FALSE(ParseSearchMethod("gradient-descent").ok());
-}
-
 TEST(ControllerTest, SteadyLoadNeverSearches) {
   const Environment env = Ep(0.5);
   ReconfigurationController controller(&env, Configuration({1, 1, 2}),
@@ -246,6 +232,17 @@ TEST(AutotuneTest, LoadDoublingGrowsConfiguration) {
     }
   }
   EXPECT_TRUE(found_plan);
+}
+
+TEST(AutotuneTest, RejectsGreedySite) {
+  const Environment env = Ep(0.5);
+  AutotuneOptions options = BaseAutotune(Configuration({1, 1, 2}));
+  options.controller.method = configtool::SearchMethod::kGreedySite;
+  auto report = RunAutotune(env, options);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().message().find("greedy-site"), std::string::npos)
+      << report.status();
 }
 
 TEST(AutotuneTest, RunsAreDeterministic) {

@@ -89,14 +89,6 @@ TEST(SearchFingerprintTest, SensitiveToEveryInput) {
                                     "greedy"));
 
   EXPECT_NE(base, SearchFingerprint(env, goals, constraints, cost, "bnb"));
-
-  AnnealingOptions annealing;
-  const uint64_t anneal_base = SearchFingerprint(env, goals, constraints,
-                                                 cost, "annealing",
-                                                 &annealing);
-  annealing.seed ^= 1;
-  EXPECT_NE(anneal_base, SearchFingerprint(env, goals, constraints, cost,
-                                           "annealing", &annealing));
 }
 
 TEST(SearchCheckpointTest, ResumedSearchIsBitIdenticalAndSkipsRework) {
@@ -151,69 +143,52 @@ TEST(SearchCheckpointTest, ResumedSearchIsBitIdenticalAndSkipsRework) {
 }
 
 TEST(SearchCheckpointTest, AllFourStrategiesResumeBitIdentically) {
-  const Environment env = MakeEnv();
+  const Environment ep = MakeEnv();
+  auto geo = workflow::GeoEpEnvironment();
+  ASSERT_TRUE(geo.ok()) << geo.status();
   const Goals goals = TestGoals();
   SearchConstraints constraints;
-  constraints.max_replicas.assign(env.num_server_types(), 4);
-  AnnealingOptions annealing;
-  annealing.iterations = 60;
+  constraints.max_replicas.assign(ep.num_server_types(), 4);
+  SiteSearchConstraints site;
+  site.max_per_type = 4;
 
-  struct Strategy {
-    const char* name;
-    std::function<Result<SearchResult>(const ConfigurationTool&,
-                                       const SearchOptions&)>
-        run;
-  };
-  const Strategy strategies[] = {
-      {"greedy",
-       [&](const ConfigurationTool& t, const SearchOptions& s) {
-         return t.GreedyMinCost(goals, constraints, {}, s);
-       }},
-      {"exhaustive",
-       [&](const ConfigurationTool& t, const SearchOptions& s) {
-         return t.ExhaustiveMinCost(goals, constraints, {}, s);
-       }},
-      {"bnb",
-       [&](const ConfigurationTool& t, const SearchOptions& s) {
-         return t.BranchAndBoundMinCost(goals, constraints, {}, s);
-       }},
-      {"annealing",
-       [&](const ConfigurationTool& t, const SearchOptions& s) {
-         return t.AnnealingMinCost(goals, constraints, {}, annealing, s);
-       }},
-  };
-
-  for (const Strategy& strategy : strategies) {
-    SCOPED_TRACE(strategy.name);
+  for (const SearchMethod method :
+       {SearchMethod::kGreedy, SearchMethod::kGreedySite,
+        SearchMethod::kExhaustive, SearchMethod::kBranchAndBound}) {
+    const char* name = SearchMethodName(method);
+    SCOPED_TRACE(name);
+    // greedy-site places replicas on sites, so it runs on the two-site EP.
+    const Environment& env = method == SearchMethod::kGreedySite ? *geo : ep;
+    const auto run = [&](const ConfigurationTool& t, const SearchOptions& s) {
+      return RunSearch(t, method, goals, constraints, site,
+                       CostModel::Uniform(), s);
+    };
     const ConfigurationTool baseline_tool = MakeTool(env);
-    auto baseline = strategy.run(baseline_tool, SearchOptions{});
+    auto baseline = run(baseline_tool, SearchOptions{});
     ASSERT_TRUE(baseline.ok()) << baseline.status();
 
     const std::string path =
-        TempPath((std::string("all_four_") + strategy.name).c_str());
-    const uint64_t fingerprint = SearchFingerprint(
-        env, goals, constraints, CostModel::Uniform(), strategy.name,
-        std::string(strategy.name) == "annealing" ? &annealing : nullptr);
+        TempPath((std::string("all_four_") + name).c_str());
+    const uint64_t fingerprint =
+        SearchFingerprint(env, goals, constraints, CostModel::Uniform(), name);
     const ConfigurationTool crashed_tool = MakeTool(env);
     std::atomic<bool> cancel{false};
     SearchOptions search;
     search.cancel = &cancel;
     search.checkpoint_interval_seconds = 0.0;
     search.on_checkpoint = [&] {
-      ASSERT_TRUE(WriteSearchCheckpoint(path, crashed_tool, fingerprint,
-                                        strategy.name)
-                      .ok());
+      ASSERT_TRUE(
+          WriteSearchCheckpoint(path, crashed_tool, fingerprint, name).ok());
       cancel.store(true);  // "crash" at the first checkpoint
     };
-    auto interrupted = strategy.run(crashed_tool, search);
+    auto interrupted = run(crashed_tool, search);
     ASSERT_TRUE(interrupted.ok()) << interrupted.status();
     ASSERT_EQ(interrupted->termination.code(), StatusCode::kCancelled);
 
     const ConfigurationTool resumed_tool = MakeTool(env);
-    auto meta = ResumeSearchFrom(resumed_tool, path, fingerprint,
-                                 strategy.name);
+    auto meta = ResumeSearchFrom(resumed_tool, path, fingerprint, name);
     ASSERT_TRUE(meta.ok()) << meta.status();
-    auto resumed = strategy.run(resumed_tool, SearchOptions{});
+    auto resumed = run(resumed_tool, SearchOptions{});
     ASSERT_TRUE(resumed.ok()) << resumed.status();
     ExpectBitIdentical(*baseline, *resumed);
     EXPECT_EQ(baseline->failed_candidates.size(),

@@ -199,37 +199,34 @@ TEST(ExhaustiveTest, UnsatisfiableReportsFailure) {
   EXPECT_FALSE(result->satisfied);
 }
 
-TEST(AnnealingTest, FindsSatisfyingConfiguration) {
-  const Environment env = MakeEnv(1.0);
-  const ConfigurationTool tool = MakeTool(env);
-  SearchConstraints constraints;
-  constraints.max_replicas = {3, 3, 4};
-  AnnealingOptions annealing;
-  annealing.iterations = 400;
-  auto result =
-      tool.AnnealingMinCost(StrictGoals(), constraints, CostModel::Uniform(),
-                            annealing);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(result->satisfied);
-  // Annealing should land within one server of the optimum too.
-  auto optimal = tool.ExhaustiveMinCost(StrictGoals(), constraints);
-  ASSERT_TRUE(optimal.ok());
-  EXPECT_LE(result->cost, optimal->cost + 1.0);
-}
+TEST(SearchMethodTest, NamesRoundTrip) {
+  for (SearchMethod method :
+       {SearchMethod::kGreedy, SearchMethod::kGreedySite,
+        SearchMethod::kExhaustive, SearchMethod::kBranchAndBound}) {
+    auto parsed = ParseSearchMethod(SearchMethodName(method));
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(*parsed, method);
+  }
+  EXPECT_STREQ(SearchMethodName(SearchMethod::kGreedySite), "greedy-site");
+  EXPECT_STREQ(SearchMethodName(SearchMethod::kBranchAndBound), "bnb");
+  auto alias = ParseSearchMethod("branch-and-bound");
+  ASSERT_TRUE(alias.ok());
+  EXPECT_EQ(*alias, SearchMethod::kBranchAndBound);
 
-TEST(AnnealingTest, DeterministicForSeed) {
-  const Environment env = MakeEnv(1.0);
-  const ConfigurationTool tool = MakeTool(env);
-  AnnealingOptions annealing;
-  annealing.iterations = 150;
-  auto a = tool.AnnealingMinCost(StrictGoals(), {}, CostModel::Uniform(),
-                                 annealing);
-  auto b = tool.AnnealingMinCost(StrictGoals(), {}, CostModel::Uniform(),
-                                 annealing);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->config, b->config);
-  EXPECT_EQ(a->evaluations, b->evaluations);
+  auto unknown = ParseSearchMethod("gradient-descent");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+  // The removed method gets its own error, naming what is left.
+  auto removed = ParseSearchMethod("annealing");
+  ASSERT_FALSE(removed.ok());
+  EXPECT_EQ(removed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(removed.status().message().find("'annealing' was removed"),
+            std::string::npos)
+      << removed.status();
+  EXPECT_NE(removed.status().message().find(
+                "greedy, greedy-site, exhaustive, bnb"),
+            std::string::npos)
+      << removed.status();
 }
 
 TEST(CostModelTest, WeightedCostChangesRecommendation) {

@@ -28,14 +28,15 @@ Goals StrictGoals() {
   return goals;
 }
 
-// Bitwise comparison of everything a search result derives from the model.
-// cache_hits is deliberately excluded: it is an execution statistic that
-// may vary with the thread count (speculative prefills populate the cache).
+// Bitwise comparison of everything a search result derives from the model,
+// plus cache_hits: no search assesses speculatively, so on fresh tools the
+// hit count is a function of the search alone.
 void ExpectBitIdentical(const SearchResult& a, const SearchResult& b) {
   EXPECT_EQ(a.config, b.config);
   EXPECT_EQ(a.cost, b.cost);
   EXPECT_EQ(a.satisfied, b.satisfied);
   EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
   const auto& pa = a.assessment.performability;
   const auto& pb = b.assessment.performability;
   EXPECT_EQ(pa.availability, pb.availability);

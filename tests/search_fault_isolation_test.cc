@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/metrics.h"
 #include "workflow/scenarios.h"
 
 namespace wfms::configtool {
@@ -86,8 +89,6 @@ TEST(SearchFaultIsolationTest, EveryStrategySurvivesTheFailingCandidate) {
 
   auto greedy = tool->GreedyMinCost(goals, constraints);
   ASSERT_TRUE(greedy.ok()) << greedy.status();
-  auto annealing = tool->AnnealingMinCost(goals, constraints);
-  ASSERT_TRUE(annealing.ok()) << annealing.status();
   auto bnb = tool->BranchAndBoundMinCost(goals, constraints);
   ASSERT_TRUE(bnb.ok()) << bnb.status();
   // Strategies that touch (2,2,2) record it; none abort. Branch-and-bound
@@ -112,6 +113,79 @@ TEST(SearchFaultIsolationTest, BatchAssessmentIsolatesFailures) {
   EXPECT_FALSE((*batch)[1].error.ok());
   EXPECT_TRUE((*batch)[1].numerical_failure);
   EXPECT_FALSE((*batch)[1].Satisfies());
+}
+
+TEST(SearchFaultIsolationTest, AssessAndBatchShareTheFailureContract) {
+  auto env = workflow::EpEnvironment();
+  ASSERT_TRUE(env.ok());
+  auto single_tool = ConfigurationTool::Create(*env, StarvedSolverOptions());
+  auto batch_tool = ConfigurationTool::Create(*env, StarvedSolverOptions());
+  ASSERT_TRUE(single_tool.ok());
+  ASSERT_TRUE(batch_tool.ok());
+  const Configuration failing({2, 2, 2});
+
+  // The numerical failure is data from both entry points, never a Status.
+  // (The cause quotes the solve's wall time, so fresh tools agree on the
+  // code, not the text.)
+  auto single = single_tool->Assess(failing, ModestGoals());
+  ASSERT_TRUE(single.ok()) << single.status();
+  auto batch = batch_tool->AssessBatch({&failing, 1}, ModestGoals());
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  const Assessment& batched = (*batch)[0];
+  EXPECT_EQ(single->error.code(), StatusCode::kNumericError) << single->error;
+  EXPECT_EQ(single->error.code(), batched.error.code());
+  EXPECT_TRUE(single->numerical_failure);
+  EXPECT_EQ(single->numerical_failure, batched.numerical_failure);
+  EXPECT_EQ(single->retried_exact, batched.retried_exact);
+  EXPECT_EQ(single->config, batched.config);
+  EXPECT_EQ(single->cost, batched.cost);
+  EXPECT_FALSE(single->Satisfies());
+  EXPECT_FALSE(batched.Satisfies());
+
+  // Negatively cached: on the same tool both entry points replay the
+  // stored cause verbatim, as cache hits.
+  const size_t hits = single_tool->cache_stats().hits;
+  auto again = single_tool->Assess(failing, ModestGoals());
+  ASSERT_TRUE(again.ok()) << again.status();
+  auto rebatched = single_tool->AssessBatch({&failing, 1}, ModestGoals());
+  ASSERT_TRUE(rebatched.ok()) << rebatched.status();
+  EXPECT_EQ(single_tool->cache_stats().hits, hits + 2);
+  EXPECT_EQ(again->error, single->error);
+  EXPECT_EQ((*rebatched)[0].error, single->error);
+}
+
+TEST(SearchFaultIsolationTest, FailedPlacementsWithEqualTotalsAreDistinct) {
+  auto env = workflow::GeoEpEnvironment();
+  ASSERT_TRUE(env.ok()) << env.status();
+  // Starved iterative rungs and no dense rescue: every placement fails.
+  performability::PerformabilityOptions options = StarvedSolverOptions();
+  options.availability.solver.max_dense_states = 1;
+  auto tool = ConfigurationTool::Create(*env, options);
+  ASSERT_TRUE(tool.ok()) << tool.status();
+
+  const auto failed_total = [] {
+    return metrics::MetricsRegistry::Global().Snapshot().counter(
+        "wfms_configtool_candidates_failed_total");
+  };
+  const uint64_t failed_before = failed_total();
+  auto result = tool->GreedySiteMinCost(ModestGoals());
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_FALSE(result->satisfied);
+
+  // The start placement plus its six +1 neighbors all fail. One more
+  // engine at EU and one more at US have the same per-type totals; both
+  // must be reported, and counted.
+  ASSERT_EQ(result->failed_candidates.size(), 7u);
+  std::vector<Configuration> grown_engine;
+  for (const FailedCandidate& failed : result->failed_candidates) {
+    EXPECT_FALSE(failed.error.ok());
+    if (failed.config.replicas == std::vector<int>{1, 2, 1}) {
+      grown_engine.push_back(failed.config);
+    }
+  }
+  ASSERT_EQ(grown_engine.size(), 2u);
+  EXPECT_NE(grown_engine[0].site_counts, grown_engine[1].site_counts);
+  EXPECT_EQ(failed_total() - failed_before, result->failed_candidates.size());
 }
 
 TEST(SearchFaultIsolationTest, DeadlineReturnsBestSoFar) {

@@ -15,12 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/metrics.h"
 #include "service/admission.h"
 #include "service/backend.h"
 #include "service/client.h"
 #include "service/flight_recorder.h"
-#include "service/json.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "workflow/scenarios.h"
@@ -229,6 +229,30 @@ TEST(BackendTest, RecommendDowngradesAtLevelOne) {
   Response full = backend.Handle(req, 0, now);
   ASSERT_EQ(full.disposition, Disposition::kCompleted) << full.error;
   EXPECT_EQ(full.result.GetString("method", ""), "exhaustive");
+}
+
+TEST(BackendTest, BadMethodIsAnErrorAtEveryLoadLevel) {
+  Backend backend(BackendOptions{});
+  const auto now = steady_clock::now();
+  for (const char* method : {"foo", "annealing"}) {
+    for (int level : {0, 1}) {
+      Request req;
+      req.op = Op::kRecommend;
+      req.scenario = "ep";
+      req.method = method;
+      req.max_wait = 0.1;
+      req.min_avail = 0.999;
+      req.max_replicas = 3;
+      // Level 1 downgrades searches to greedy; a bad name must not ride
+      // along into a degraded answer.
+      Response resp = backend.Handle(req, level, now);
+      EXPECT_EQ(resp.disposition, Disposition::kError)
+          << method << " at level " << level;
+      EXPECT_NE(resp.error.find("supported methods"), std::string::npos)
+          << resp.error;
+      EXPECT_TRUE(resp.result.is_null());
+    }
+  }
 }
 
 TEST(BackendTest, SnapshotRoundTripsWarm) {
@@ -703,10 +727,9 @@ TEST_F(ServerLoopbackTest, FlightRecorderCapturesTracedRequests) {
   EXPECT_TRUE(server.Wait().ok());
 }
 
-// Raw HTTP/1.0 GET against the server's shared port (the protocol sniffer
-// routes "GET " lines to ServeHttp). Returns the full response, headers
-// included.
-std::string HttpGet(int port, const std::string& path) {
+// Sends `bytes` raw over a fresh connection and returns everything the
+// server writes back before closing it.
+std::string RawExchange(int port, const std::string& bytes) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return "";
   sockaddr_in addr{};
@@ -717,8 +740,7 @@ std::string HttpGet(int port, const std::string& path) {
     ::close(fd);
     return "";
   }
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  (void)::send(fd, request.data(), request.size(), 0);
+  (void)::send(fd, bytes.data(), bytes.size(), 0);
   std::string response;
   char buf[4096];
   ssize_t n;
@@ -727,6 +749,13 @@ std::string HttpGet(int port, const std::string& path) {
   }
   ::close(fd);
   return response;
+}
+
+// Raw HTTP/1.0 GET against the server's shared port (the protocol sniffer
+// routes "GET " lines to ServeHttp). Returns the full response, headers
+// included.
+std::string HttpGet(int port, const std::string& path) {
+  return RawExchange(port, "GET " + path + " HTTP/1.0\r\n\r\n");
 }
 
 TEST_F(ServerLoopbackTest, FlightRecorderServedAtDebugRequests) {
@@ -754,6 +783,38 @@ TEST_F(ServerLoopbackTest, FlightRecorderServedAtDebugRequests) {
     ++seq_count;
   }
   EXPECT_EQ(seq_count, 1u);
+
+  server.RequestStop();
+  EXPECT_TRUE(server.Wait().ok());
+}
+
+TEST_F(ServerLoopbackTest, OversizedLineLandsInTheFlightRecorder) {
+  ServerOptions options = DefaultOptions();
+  options.max_line_bytes = 256;
+  Server server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  // No newline: the server cannot resynchronize, answers once and closes.
+  const std::string reply =
+      RawExchange(server.port(), std::string(1024, 'x'));
+  auto doc = Json::Parse(reply.substr(0, reply.find('\n')));
+  ASSERT_TRUE(doc.ok()) << reply;
+  EXPECT_EQ(doc->GetString("status", ""), "error");
+  EXPECT_NE(doc->GetString("error", "").find("exceeds 256 bytes"),
+            std::string::npos);
+  const std::string trace_id = doc->GetString("trace_id", "");
+  EXPECT_EQ(trace_id.size(), 32u);
+
+  // Like any other protocol line, it is findable by its trace id.
+  const std::vector<RequestRecord> records =
+      server.flight_recorder().Newest(0);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].trace_id, trace_id);
+  EXPECT_EQ(records[0].op, "invalid");
+  EXPECT_EQ(records[0].disposition, "error");
+  EXPECT_GT(records[0].bytes_in, 256u);
+  const std::string scraped = HttpGet(server.port(), "/debug/requests");
+  EXPECT_NE(scraped.find(trace_id), std::string::npos) << scraped;
 
   server.RequestStop();
   EXPECT_TRUE(server.Wait().ok());

@@ -17,8 +17,7 @@ WFMSCTL="$1"
 WORKDIR="$2"
 METHOD="${3:-greedy}"
 
-ARGS=(recommend --scenario ep --method "$METHOD" --max-replicas 4
-      --iterations 300)
+ARGS=(recommend --scenario ep --method "$METHOD" --max-replicas 4)
 BASE="$WORKDIR/chaos_${METHOD}_base.out"
 RUN="$WORKDIR/chaos_${METHOD}_run.out"
 ERR="$WORKDIR/chaos_${METHOD}_run.err"

@@ -36,15 +36,13 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/string_util.h"
 #include "common/trace.h"
 #include "service/client.h"
-#include "service/json.h"
 
 namespace wfms {
 namespace {
-
-using service::Json;
 
 struct DriverOptions {
   std::string host = "127.0.0.1";

@@ -26,6 +26,7 @@
 
 #include "adapt/autotune.h"
 #include "avail/availability_model.h"
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/trace.h"
@@ -37,7 +38,6 @@
 #include "markov/transient_distribution.h"
 #include "perf/performance_model.h"
 #include "service/client.h"
-#include "service/json.h"
 #include "sim/fault_schedule.h"
 #include "sim/load_schedule.h"
 #include "sim/simulator.h"
@@ -115,7 +115,8 @@ int Usage() {
 commands:
   analyze     turnaround times, loads, and quantiles per workflow type
   assess      evaluate one configuration against performability goals
-  recommend   search a minimum-cost configuration (greedy|exhaustive|annealing)
+  recommend   search a minimum-cost configuration
+              (greedy | greedy-site | exhaustive | bnb)
   simulate    discrete-event simulation of a configuration
               (--trail-out FILE records the audit trail;
                --bind-instances uses per-instance server binding)
@@ -147,9 +148,10 @@ common flags:
               2/1,1/1,2/2 (type-major: type 0 gets 2 at site A + 1 at B)
   --max-wait  waiting-time goal in minutes      (default 0.05)
   --min-avail availability goal                 (default 0.99999)
-  --method    greedy | greedy-site | exhaustive | annealing | bnb
+  --method    greedy | greedy-site | exhaustive | bnb
               (default greedy; greedy-site searches per-site placements
-               in a multi-site scenario)
+               in a multi-site scenario; bnb is the exact branch-and-bound
+               search, also accepted as branch-and-bound)
   --max-replicas per-type search bound          (default 8)
   --lumping   off | auto | on — lumpability aggregation for the CTMC
               steady-state solve (assess, recommend). off (default)
@@ -165,7 +167,6 @@ common flags:
               replacing the random failure processes (simulate)
   --load      load-schedule file: timed arrival-rate phase changes
               (simulate, autotune)
-  --iterations annealing iteration count          (recommend, default 2000)
   --verbose   also report cache statistics and per-candidate failure
               causes on stderr (recommend)
 
@@ -377,20 +378,16 @@ int Assess(const workflow::Environment& env, const Flags& flags) {
   if (!config.ok()) return FailWith(config.status());
   auto tool_options = ToolOptionsFromFlags(flags);
   if (!tool_options.ok()) return FailWith(tool_options.status());
-  // --deadline bounds the assessment's steady-state solve itself (the
-  // SolveBudget shared across cascade rungs), not just the caller's
-  // patience: on expiry the solve fails with DeadlineExceeded (exit 7).
-  const double deadline = flags.GetDouble("deadline", 0.0);
-  if (deadline > 0.0) {
-    auto& budget = tool_options->availability.solver.budget;
-    if (budget.max_wall_time_seconds <= 0.0 ||
-        deadline < budget.max_wall_time_seconds) {
-      budget.max_wall_time_seconds = deadline;
-    }
-  }
   auto tool = configtool::ConfigurationTool::Create(env, *tool_options);
   if (!tool.ok()) return FailWith(tool.status());
-  auto assessment = tool->Assess(*config, GoalsFromFlags(flags));
+  // --deadline bounds the assessment's steady-state solves themselves, not
+  // just the caller's patience: on expiry the assessment fails with
+  // DeadlineExceeded (exit 7).
+  configtool::AssessOptions assess_options;
+  assess_options.deadline_seconds = flags.GetDouble("deadline", 0.0);
+  auto assessment = tool->Assess(*config, GoalsFromFlags(flags),
+                                 configtool::CostModel::Uniform(),
+                                 assess_options);
   if (!assessment.ok()) return FailWith(assessment.status());
   if (!assessment->error.ok()) return FailWith(assessment->error);
   std::printf("configuration %s (cost %.0f)\n", config->ToString().c_str(),
@@ -425,6 +422,11 @@ int Assess(const workflow::Environment& env, const Flags& flags) {
 }
 
 int Recommend(const workflow::Environment& env, const Flags& flags) {
+  auto method = configtool::ParseSearchMethod(flags.Get("method", "greedy"));
+  if (!method.ok()) return FailWith(method.status());
+  // Checkpoints are keyed by the canonical name, so an alias resumes the
+  // same search.
+  const char* method_name = configtool::SearchMethodName(*method);
   auto tool_options = ToolOptionsFromFlags(flags);
   if (!tool_options.ok()) return FailWith(tool_options.status());
   auto tool = configtool::ConfigurationTool::Create(env, *tool_options);
@@ -434,10 +436,6 @@ int Recommend(const workflow::Environment& env, const Flags& flags) {
       static_cast<int>(flags.GetDouble("max-replicas", 8));
   constraints.max_replicas.assign(env.num_server_types(), max_replicas);
   const configtool::Goals goals = GoalsFromFlags(flags);
-  const std::string method = flags.Get("method", "greedy");
-  configtool::AnnealingOptions annealing;
-  annealing.iterations =
-      static_cast<int>(flags.GetDouble("iterations", annealing.iterations));
   configtool::SearchOptions search;
   search.deadline_seconds = flags.GetDouble("deadline", 0.0);
   search.cancel = &g_cancel;
@@ -455,11 +453,11 @@ int Recommend(const workflow::Environment& env, const Flags& flags) {
   Status checkpoint_error;
   if (!checkpoint_path.empty()) {
     fingerprint = configtool::SearchFingerprint(
-        env, goals, constraints, configtool::CostModel::Uniform(), method,
-        method == "annealing" ? &annealing : nullptr);
+        env, goals, constraints, configtool::CostModel::Uniform(),
+        method_name);
     if (flags.Has("resume")) {
       auto resumed = configtool::ResumeSearchFrom(*tool, checkpoint_path,
-                                                  fingerprint, method);
+                                                  fingerprint, method_name);
       if (resumed.ok()) {
         std::fprintf(stderr,
                      "wfmsctl: resumed from %s (%zu cached assessments, "
@@ -475,7 +473,7 @@ int Recommend(const workflow::Environment& env, const Flags& flags) {
         flags.GetDouble("checkpoint-interval", 60.0);
     search.on_checkpoint = [&] {
       const Status written = configtool::WriteSearchCheckpoint(
-          checkpoint_path, *tool, fingerprint, method);
+          checkpoint_path, *tool, fingerprint, method_name);
       if (!written.ok() && checkpoint_error.ok()) {
         checkpoint_error = written;  // surfaced after the search returns
       }
@@ -486,34 +484,23 @@ int Recommend(const workflow::Environment& env, const Flags& flags) {
     };
   }
 
-  Result<configtool::SearchResult> result =
-      Status::InvalidArgument("unknown --method '" + method + "'");
-  const configtool::CostModel cost = configtool::CostModel::Uniform();
-  if (method == "greedy") {
-    result = tool->GreedyMinCost(goals, constraints, cost, search);
-  } else if (method == "greedy-site") {
-    configtool::SiteSearchConstraints site_constraints;
-    site_constraints.max_per_type = max_replicas;
-    if (flags.Has("min-per-site")) {
-      for (const std::string& part :
-           SplitString(flags.Get("min-per-site", ""), ',')) {
-        int value = 0;
-        if (!ParseInt(part, &value)) {
-          return FailWith(Status::InvalidArgument(
-              "bad --min-per-site entry '" + part + "'"));
-        }
-        site_constraints.min_per_site.push_back(value);
+  configtool::SiteSearchConstraints site_constraints;
+  site_constraints.max_per_type = max_replicas;
+  if (*method == configtool::SearchMethod::kGreedySite &&
+      flags.Has("min-per-site")) {
+    for (const std::string& part :
+         SplitString(flags.Get("min-per-site", ""), ',')) {
+      int value = 0;
+      if (!ParseInt(part, &value)) {
+        return FailWith(Status::InvalidArgument(
+            "bad --min-per-site entry '" + part + "'"));
       }
+      site_constraints.min_per_site.push_back(value);
     }
-    result = tool->GreedySiteMinCost(goals, site_constraints, cost, search);
-  } else if (method == "exhaustive") {
-    result = tool->ExhaustiveMinCost(goals, constraints, cost, search);
-  } else if (method == "annealing") {
-    result = tool->AnnealingMinCost(goals, constraints, cost, annealing,
-                                    search);
-  } else if (method == "bnb") {
-    result = tool->BranchAndBoundMinCost(goals, constraints, cost, search);
   }
+  Result<configtool::SearchResult> result = configtool::RunSearch(
+      *tool, *method, goals, constraints, site_constraints,
+      configtool::CostModel::Uniform(), search);
   if (!result.ok()) return FailWith(result.status());
   if (!checkpoint_error.ok()) return FailWith(checkpoint_error);
 
@@ -523,7 +510,7 @@ int Recommend(const workflow::Environment& env, const Flags& flags) {
     // Final checkpoint carries the best-so-far so an operator can inspect
     // it without resuming.
     const Status written = configtool::WriteSearchCheckpoint(
-        checkpoint_path, *tool, fingerprint, method, &*result);
+        checkpoint_path, *tool, fingerprint, method_name, &*result);
     if (!written.ok()) return FailWith(written);
     std::fprintf(stderr, "wfmsctl: interrupted; checkpoint written to %s\n",
                  checkpoint_path.c_str());
@@ -733,11 +720,9 @@ int Autotune(const workflow::Environment& env, const Flags& flags) {
       static_cast<int>(flags.GetDouble("max-replicas", 8));
   options.controller.constraints.max_replicas.assign(env.num_server_types(),
                                                      max_replicas);
-  auto method = adapt::ParseSearchMethod(flags.Get("method", "greedy"));
+  auto method = configtool::ParseSearchMethod(flags.Get("method", "greedy"));
   if (!method.ok()) return FailWith(method.status());
   options.controller.method = *method;
-  options.controller.annealing.iterations = static_cast<int>(
-      flags.GetDouble("iterations", options.controller.annealing.iterations));
   options.controller.max_turnaround = flags.GetDouble("max-turnaround", 0.0);
   options.controller.search_deadline_seconds =
       flags.GetDouble("deadline", 0.0);
@@ -919,16 +904,16 @@ int RemoteCommand(const std::string& command, const Flags& flags) {
     return 2;
   }
 
-  service::Json request = service::Json::Object();
-  request.Set("id", service::Json::Str("wfmsctl"));
-  request.Set("op", service::Json::Str(command));
+  Json request = Json::Object();
+  request.Set("id", Json::Str("wfmsctl"));
+  request.Set("op", Json::Str(command));
   if (flags.Has("tenant")) {
-    request.Set("tenant", service::Json::Str(flags.Get("tenant", "")));
+    request.Set("tenant", Json::Str(flags.Get("tenant", "")));
   }
   if (command != "ping") {
     const std::string scenario = flags.Get("scenario", "ep");
     if (scenario == "ep" || scenario == "benchmark") {
-      request.Set("scenario", service::Json::Str(scenario));
+      request.Set("scenario", Json::Str(scenario));
     } else {
       std::ifstream file(scenario);
       if (!file) {
@@ -937,14 +922,14 @@ int RemoteCommand(const std::string& command, const Flags& flags) {
       }
       std::stringstream buffer;
       buffer << file.rdbuf();
-      request.Set("scenario", service::Json::Str(buffer.str()));
+      request.Set("scenario", Json::Str(buffer.str()));
     }
     if (flags.Has("config")) {
       const std::string text = flags.Get("config", "");
       if (text.find('/') != std::string::npos) {
         // Per-site placement: shipped as 'site_config' (type-major); the
         // daemon validates the shape against its scenario's topology.
-        service::Json site_config = service::Json::Array();
+        Json site_config = Json::Array();
         size_t sites_per_type = 0;
         for (const std::string& part : SplitString(text, ',')) {
           const std::vector<std::string> per_site = SplitString(part, '/');
@@ -960,64 +945,57 @@ int RemoteCommand(const std::string& command, const Flags& flags) {
               return FailWith(Status::InvalidArgument(
                   "bad --config entry '" + entry + "'"));
             }
-            site_config.Append(service::Json::Number(value));
+            site_config.Append(Json::Number(value));
           }
         }
         request.Set("site_config", site_config);
       } else {
-        service::Json config = service::Json::Array();
+        Json config = Json::Array();
         for (const std::string& part : SplitString(text, ',')) {
           int value = 0;
           if (!ParseInt(part, &value)) {
             return FailWith(Status::InvalidArgument("bad --config entry '" +
                                                     part + "'"));
           }
-          config.Append(service::Json::Number(value));
+          config.Append(Json::Number(value));
         }
         request.Set("config", config);
       }
     }
-    request.Set("max_wait",
-                service::Json::Number(flags.GetDouble("max-wait", 0.05)));
+    request.Set("max_wait", Json::Number(flags.GetDouble("max-wait", 0.05)));
     request.Set("min_avail",
-                service::Json::Number(flags.GetDouble("min-avail", 0.99999)));
+                Json::Number(flags.GetDouble("min-avail", 0.99999)));
     const int survive_sites =
         static_cast<int>(flags.GetDouble("survive-sites", 0));
     if (survive_sites > 0) {
-      request.Set("survive_sites", service::Json::Number(survive_sites));
+      request.Set("survive_sites", Json::Number(survive_sites));
     }
     if (flags.Has("survive-partitions")) {
-      request.Set("survive_partitions", service::Json::Bool(true));
+      request.Set("survive_partitions", Json::Bool(true));
     }
     const double degraded_max_wait =
         flags.GetDouble("degraded-max-wait", 0.0);
     if (degraded_max_wait > 0.0) {
-      request.Set("degraded_max_wait",
-                  service::Json::Number(degraded_max_wait));
+      request.Set("degraded_max_wait", Json::Number(degraded_max_wait));
     }
     const double degraded_min_avail =
         flags.GetDouble("degraded-min-avail", -1.0);
     if (degraded_min_avail >= 0.0) {
-      request.Set("degraded_min_avail",
-                  service::Json::Number(degraded_min_avail));
+      request.Set("degraded_min_avail", Json::Number(degraded_min_avail));
     }
-    request.Set("method",
-                service::Json::Str(flags.Get("method", "greedy")));
+    request.Set("method", Json::Str(flags.Get("method", "greedy")));
     request.Set("max_replicas",
-                service::Json::Number(flags.GetDouble("max-replicas", 8)));
-    request.Set("iterations",
-                service::Json::Number(flags.GetDouble("iterations", 2000)));
+                Json::Number(flags.GetDouble("max-replicas", 8)));
     const double deadline = flags.GetDouble("deadline", 0.0);
     if (deadline > 0.0) {
-      request.Set("deadline_seconds", service::Json::Number(deadline));
+      request.Set("deadline_seconds", Json::Number(deadline));
     }
     if (command == "autotune") {
       request.Set("duration",
-                  service::Json::Number(flags.GetDouble("duration", 4000)));
-      request.Set("epoch",
-                  service::Json::Number(flags.GetDouble("epoch", 1000)));
-      request.Set("max_turnaround", service::Json::Number(
-                                        flags.GetDouble("max-turnaround", 0)));
+                  Json::Number(flags.GetDouble("duration", 4000)));
+      request.Set("epoch", Json::Number(flags.GetDouble("epoch", 1000)));
+      request.Set("max_turnaround",
+                  Json::Number(flags.GetDouble("max-turnaround", 0)));
     }
   }
 
@@ -1030,12 +1008,11 @@ int RemoteCommand(const std::string& command, const Flags& flags) {
   trace::TraceSpan root_span(std::string("wfmsctl/") + command, "client",
                              minted);
   {
-    service::Json trace_field = service::Json::Object();
-    trace_field.Set("trace_id", service::Json::Str(minted.trace_id_hex()));
+    Json trace_field = Json::Object();
+    trace_field.Set("trace_id", Json::Str(minted.trace_id_hex()));
     const trace::TraceContext ctx = root_span.context();
     if (ctx.span_id != 0) {
-      trace_field.Set("parent_span_id",
-                      service::Json::Str(ctx.span_id_hex()));
+      trace_field.Set("parent_span_id", Json::Str(ctx.span_id_hex()));
     }
     request.Set("trace", trace_field);
   }
@@ -1052,7 +1029,7 @@ int RemoteCommand(const std::string& command, const Flags& flags) {
   auto response_line = client.Call(request.Dump(), command != "autotune");
   if (!response_line.ok()) return FailWith(response_line.status());
 
-  auto response = service::Json::Parse(*response_line);
+  auto response = Json::Parse(*response_line);
   if (!response.ok()) {
     return FailWith(response.status().WithContext("parsing daemon response"));
   }
@@ -1080,13 +1057,13 @@ int RemoteCommand(const std::string& command, const Flags& flags) {
     std::fprintf(stderr, "wfmsctl: trace %s\n",
                  response->GetString("trace_id", "(none)").c_str());
   }
-  const service::Json* result = response->Find("result");
+  const Json* result = response->Find("result");
   std::printf("%s\n", result != nullptr ? result->Dump().c_str() : "null");
   if (result != nullptr) {
-    if (const service::Json* goal = result->Find("satisfies")) {
+    if (const Json* goal = result->Find("satisfies")) {
       return goal->bool_value() ? 0 : 3;
     }
-    if (const service::Json* goal = result->Find("satisfied")) {
+    if (const Json* goal = result->Find("satisfied")) {
       return goal->bool_value() ? 0 : 3;
     }
   }
