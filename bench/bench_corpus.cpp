@@ -20,7 +20,6 @@
 #include "configtool/tool.h"
 #include "corpus/compile.h"
 #include "corpus/generator.h"
-#include "perf/workflow_analysis.h"
 
 namespace {
 
@@ -89,15 +88,10 @@ wfms::Result<Measurement> RunOne(Pattern pattern, size_t num_tasks) {
     m.chart_states += (*env.charts.GetChart(name))->num_states();
   }
 
-  wfms::performability::PerformabilityOptions options;
-  // Same method as the sweep runner: exact expected-visit loads (the
-  // uniformized reward summation does not converge on stiff corpus
-  // charts; see src/corpus/sweep.cc).
-  options.analysis.method = wfms::perf::LoadMethod::kEmbeddedChain;
   const auto build_start = std::chrono::steady_clock::now();
   WFMS_ASSIGN_OR_RETURN(
       wfms::configtool::ConfigurationTool tool,
-      wfms::configtool::ConfigurationTool::Create(env, options));
+      wfms::configtool::ConfigurationTool::Create(env));
   tool.set_num_threads(1);
   m.build_ms = MillisSince(build_start);
 

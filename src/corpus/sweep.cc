@@ -12,7 +12,6 @@
 #include "configtool/tool.h"
 #include "corpus/compile.h"
 #include "corpus/importer.h"
-#include "perf/workflow_analysis.h"
 
 namespace wfms::corpus {
 
@@ -118,11 +117,6 @@ EnvironmentResult EvaluateEntry(const ManifestEntry& entry,
   popts.availability.solver.lumping = options.lumping;
   popts.analysis.mapping.phase_type_composites =
       options.phase_type_composites;
-  // Exact expected-visit loads instead of uniformized reward summation:
-  // the summation needs ~(max rate / min rate) * chart-size steps, and
-  // corpus charts are stiff by construction (heavy-tailed runtimes plus
-  // near-zero control states), so it truncates long before converging.
-  popts.analysis.method = perf::LoadMethod::kEmbeddedChain;
   Result<configtool::ConfigurationTool> tool =
       configtool::ConfigurationTool::Create(*env, popts);
   if (!tool.ok()) return fail(tool.status());

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <queue>
 
-#include "markov/dtmc.h"
-
 namespace wfms::markov {
 
 using linalg::DenseMatrix;
@@ -177,10 +175,6 @@ DenseMatrix AbsorbingCtmc::UniformizedTransitionMatrix() const {
     u.At(i, i) = 1.0 - ratio;
   }
   return u;
-}
-
-Result<Dtmc> AbsorbingCtmc::EmbeddedChain() const {
-  return Dtmc::Create(p_, state_names_);
 }
 
 }  // namespace wfms::markov

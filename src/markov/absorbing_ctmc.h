@@ -3,8 +3,9 @@
 // p_ij and the mean state residence times H_i, with a single initial state
 // and a single absorbing state (infinite residence).
 //
-// The analyses the performance model needs live in transient.h
-// (uniformization / Markov reward) and first_passage.h (turnaround time).
+// The analyses the performance model needs live in transient.h (expected
+// visits, and the uniformized Markov reward reference) and first_passage.h
+// (turnaround time).
 #ifndef WFMS_MARKOV_ABSORBING_CTMC_H_
 #define WFMS_MARKOV_ABSORBING_CTMC_H_
 
@@ -62,9 +63,6 @@ class AbsorbingCtmc {
   ///   p~_ij = (v_i/v) p_ij for j != i,   p~_ii = 1 - v_i/v,
   /// with the absorbing state keeping a self-loop of 1.
   linalg::DenseMatrix UniformizedTransitionMatrix() const;
-
-  /// The embedded jump chain as a DTMC (absorbing state keeps a self-loop).
-  Result<class Dtmc> EmbeddedChain() const;
 
  private:
   AbsorbingCtmc(linalg::DenseMatrix p, linalg::Vector h,

@@ -19,11 +19,8 @@ Result<Vector> MeanFirstPassageTimes(const AbsorbingCtmc& chain,
   // Compact the transient states; the system matrix is the generator
   // restricted to them (diagonal -v_i, off-diagonal q_ij), RHS -1.
   std::vector<size_t> transient;
-  std::vector<size_t> compact(n, SIZE_MAX);
   for (size_t i = 0; i < n; ++i) {
-    if (i == a) continue;
-    compact[i] = transient.size();
-    transient.push_back(i);
+    if (i != a) transient.push_back(i);
   }
   const size_t m = transient.size();
   Vector rhs(m, -1.0);

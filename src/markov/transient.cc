@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "linalg/dense_matrix.h"
-#include "markov/dtmc.h"
+#include "linalg/lu_solver.h"
 
 namespace wfms::markov {
 
@@ -86,8 +86,33 @@ Result<RewardResult> ExpectedRewardUntilAbsorption(
 }
 
 Result<Vector> ExpectedStateVisits(const AbsorbingCtmc& chain) {
-  WFMS_ASSIGN_OR_RETURN(Dtmc embedded, chain.EmbeddedChain());
-  return embedded.ExpectedVisitsUntilAbsorption(chain.initial_state());
+  // The transient states T are all but the absorbing one. N_{start,b} =
+  // e_start^T N e_b, so the whole row comes from one solve of
+  // (I - P_T)^T y = e_start.
+  const size_t n = chain.num_states();
+  const size_t a = chain.absorbing_state();
+  const auto compact = [a](size_t i) { return i < a ? i : i - 1; };
+  const DenseMatrix& p = chain.transition_probabilities();
+  DenseMatrix system(n - 1, n - 1);
+  for (size_t i = 0; i < n; ++i) {
+    if (i == a) continue;
+    for (size_t j = 0; j < n; ++j) {
+      if (j == a) continue;
+      system.At(compact(j), compact(i)) = (i == j ? 1.0 : 0.0) - p.At(i, j);
+    }
+  }
+  Vector e(n - 1, 0.0);
+  e[compact(chain.initial_state())] = 1.0;
+  auto solved = linalg::LuSolve(system, e);
+  if (!solved.ok()) {
+    return solved.status().WithContext(
+        "chain has transient states with no path to absorption");
+  }
+  Vector visits(n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    if (i != a) visits[i] = (*solved)[compact(i)];
+  }
+  return visits;
 }
 
 Result<int> AbsorptionStepBound(const AbsorbingCtmc& chain, double confidence,
@@ -95,30 +120,13 @@ Result<int> AbsorptionStepBound(const AbsorbingCtmc& chain, double confidence,
   if (confidence <= 0.0 || confidence >= 1.0) {
     return Status::InvalidArgument("confidence must be in (0, 1)");
   }
-  const size_t n = chain.num_states();
-  const size_t a = chain.absorbing_state();
-  const DenseMatrix u_matrix = chain.UniformizedTransitionMatrix();
-  Vector u(n, 0.0);
-  u[chain.initial_state()] = 1.0;
-  const double threshold = 1.0 - confidence;
-  double mass = 1.0;
-  for (int z = 0; z < max_steps; ++z) {
-    if (mass <= threshold) return z;
-    Vector next(n, 0.0);
-    for (size_t c = 0; c < n; ++c) {
-      if (c == a || u[c] == 0.0) continue;
-      for (size_t b = 0; b < n; ++b) {
-        if (b == a) continue;
-        next[b] += u[c] * u_matrix.At(c, b);
-      }
-    }
-    u.swap(next);
-    mass = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      if (i != a) mass += u[i];
-    }
-  }
-  return Status::NumericError("absorption step bound exceeds max_steps");
+  RewardOptions options;
+  options.residual_mass_threshold = 1.0 - confidence;
+  options.max_steps = max_steps;
+  auto run = ExpectedRewardUntilAbsorption(
+      chain, Vector(chain.num_states(), 0.0), options);
+  if (!run.ok()) return run.status().WithContext("absorption step bound");
+  return run->steps;
 }
 
 }  // namespace wfms::markov

@@ -1,8 +1,9 @@
-// Transient analysis of the workflow CTMC (§4.2.1 of the paper): the
-// Markov reward model that yields the expected number of service requests
-// a workflow instance generates, computed via uniformization and taboo
-// probabilities, with the embedded-jump-chain fundamental matrix as an
-// independent exact baseline.
+// Transient analysis of the workflow CTMC (§4.2 of the paper). The exact
+// expected entries per state, from the embedded jump chain's fundamental
+// matrix, are what the performance model computes its loads r_{x,t} from.
+// The paper's §4.2.1 Markov reward summation (uniformization and taboo
+// probabilities) yields the same loads; it stays as the independent
+// reference that the tests and E3 (bench_load_model) compare against.
 #ifndef WFMS_MARKOV_TRANSIENT_H_
 #define WFMS_MARKOV_TRANSIENT_H_
 
@@ -47,13 +48,16 @@ Result<RewardResult> ExpectedRewardUntilAbsorption(
 
 /// Expected number of entries into each state until absorption, starting
 /// from the chain's initial state (initial occupancy counts as one entry).
-/// Exact, via the fundamental matrix of the embedded jump chain. The
-/// absorbing state's entry is 0.
+/// Exact: row `initial` of the fundamental matrix N = (I - P_T)^{-1} of
+/// the embedded jump chain, by one dense LU solve. The absorbing state's
+/// entry is 0. Fails if a transient state, reachable or not, has no path
+/// to absorption (singular I - P_T).
 Result<linalg::Vector> ExpectedStateVisits(const AbsorbingCtmc& chain);
 
 /// Determines the paper's z_max: the smallest number of uniformized steps
 /// after which the chain has been absorbed with probability at least
-/// `confidence` (default 0.99), capped at options.max_steps.
+/// `confidence` (default 0.99), capped at `max_steps`. This is the step
+/// count of the reward summation run to residual mass 1 - confidence.
 Result<int> AbsorptionStepBound(const AbsorbingCtmc& chain,
                                 double confidence = 0.99,
                                 int max_steps = 1000000);

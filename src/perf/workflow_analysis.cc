@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "markov/first_passage.h"
 #include "markov/transient.h"
 
 namespace wfms::perf {
@@ -18,8 +17,8 @@ namespace {
 class LoadAnalyzer {
  public:
   LoadAnalyzer(const workflow::Environment& env,
-               const AnalysisOptions& options)
-      : env_(env), options_(options) {}
+               const statechart::MappingOptions& mapping)
+      : env_(env), mapping_(mapping) {}
 
   /// Expected requests per server type generated by one execution of the
   /// chart (including all nested subworkflows).
@@ -28,7 +27,7 @@ class LoadAnalyzer {
     if (it != cache_.end()) return it->second;
     WFMS_ASSIGN_OR_RETURN(statechart::MappedWorkflow mapped,
                           statechart::MapChartToCtmc(env_.charts, chart_name,
-                                                     options_.mapping));
+                                                     mapping_));
     WFMS_ASSIGN_OR_RETURN(Vector requests, AnalyzeMapped(mapped).requests);
     cache_[chart_name] = requests;
     return requests;
@@ -65,31 +64,14 @@ class LoadAnalyzer {
       for (size_t x = 0; x < k; ++x) state_loads.At(x, s) = load[x];
     }
 
+    // r_x = sum_s visits_s * state_loads(x, s) (§4.2.1's expected reward
+    // until absorption, with entry rewards state_loads(x, .)).
     auto visits = markov::ExpectedStateVisits(mapped.chain);
     if (!visits.ok()) return {visits.status(), DenseMatrix(), Vector()};
-
     Vector requests(k, 0.0);
-    if (options_.method == LoadMethod::kEmbeddedChain) {
-      for (size_t x = 0; x < k; ++x) {
-        double total = 0.0;
-        for (size_t s = 0; s < n; ++s) {
-          total += (*visits)[s] * state_loads.At(x, s);
-        }
-        requests[x] = total;
-      }
-    } else {
-      markov::RewardOptions reward_options;
-      reward_options.residual_mass_threshold =
-          options_.residual_mass_threshold;
-      for (size_t x = 0; x < k; ++x) {
-        Vector entry_rewards(n, 0.0);
-        for (size_t s = 0; s < n; ++s) entry_rewards[s] = state_loads.At(x, s);
-        auto reward = markov::ExpectedRewardUntilAbsorption(
-            mapped.chain, entry_rewards, reward_options);
-        if (!reward.ok()) {
-          return {reward.status(), DenseMatrix(), Vector()};
-        }
-        requests[x] = reward->expected_reward;
+    for (size_t x = 0; x < k; ++x) {
+      for (size_t s = 0; s < n; ++s) {
+        requests[x] += (*visits)[s] * state_loads.At(x, s);
       }
     }
     return {std::move(requests), std::move(state_loads), *std::move(visits)};
@@ -97,7 +79,7 @@ class LoadAnalyzer {
 
  private:
   const workflow::Environment& env_;
-  const AnalysisOptions& options_;
+  const statechart::MappingOptions& mapping_;
   std::map<std::string, Vector> cache_;
 };
 
@@ -110,7 +92,7 @@ Result<WorkflowAnalysis> AnalyzeWorkflow(
       statechart::MappedWorkflow mapped,
       statechart::MapChartToCtmc(env.charts, spec.chart, options.mapping));
 
-  LoadAnalyzer analyzer(env, options);
+  LoadAnalyzer analyzer(env, options.mapping);
   LoadAnalyzer::MappedAnalysis analysis = analyzer.AnalyzeMapped(mapped);
   if (!analysis.requests.ok()) {
     return analysis.requests.status().WithContext("workflow type '" +

@@ -1,9 +1,14 @@
 // Per-workflow-type analysis (§4.1-§4.2 of the paper): mean turnaround
 // time R_t via first-passage analysis, and the expected number of service
-// requests r_{x,t} per server type via the Markov reward model, including
-// the hierarchical treatment of (parallel) subworkflows of §4.2.2: a
-// composite state contributes the *sum* of its subworkflows' expected
-// requests and resides for the *maximum* of their turnaround times.
+// requests r_{x,t} per server type, including the hierarchical treatment
+// of (parallel) subworkflows of §4.2.2: a composite state contributes the
+// *sum* of its subworkflows' expected requests and resides for the
+// *maximum* of their turnaround times.
+//
+// r_{x,t} = sum_s visits_s * state_loads(x, s), with the exact expected
+// visits of the embedded jump chain. The paper's §4.2.1 uniformized reward
+// summation (markov::ExpectedRewardUntilAbsorption) yields the same value
+// and is the cross-check in the tests and E3, not a production path.
 #ifndef WFMS_PERF_WORKFLOW_ANALYSIS_H_
 #define WFMS_PERF_WORKFLOW_ANALYSIS_H_
 
@@ -19,18 +24,16 @@
 
 namespace wfms::perf {
 
+/// How r_{x,t} is computed. Exact expected visits are the only method; the
+/// type exists only because the end-to-end benchmark (e2ebench/src/corpus.cc)
+/// names it.
 enum class LoadMethod {
-  /// Uniformization + taboo probabilities (§4.2.1) — the paper's method.
-  kMarkovReward,
-  /// Exact expected visit counts via the embedded chain's fundamental
-  /// matrix; used as the validation baseline.
+  /// Expected visit counts via the embedded chain's fundamental matrix.
   kEmbeddedChain,
 };
 
 struct AnalysisOptions {
-  LoadMethod method = LoadMethod::kMarkovReward;
-  /// Residual absorption mass at which the reward summation stops.
-  double residual_mass_threshold = 1e-12;
+  LoadMethod method = LoadMethod::kEmbeddedChain;
   statechart::MappingOptions mapping;
 };
 
@@ -50,7 +53,8 @@ struct WorkflowAnalysis {
   /// type x per entry of chain state s (composite states already carry
   /// their subworkflows' aggregate requests, §4.2.2).
   linalg::DenseMatrix state_loads;
-  /// Expected number of entries per chain state (from the embedded chain).
+  /// Expected number of entries per chain state (from the embedded chain);
+  /// expected_requests[x] = sum_s state_visits[s] * state_loads(x, s).
   linalg::Vector state_visits;
 };
 

@@ -62,6 +62,83 @@ TEST(AbsorbingCtmcTest, TrapStateRejected) {
           .ok());
 }
 
+TEST(AbsorbingCtmcTest, CreateRenormalizesWithinTolerance) {
+  DenseMatrix p{{0, 0.3 + 1e-12, 0.7}, {0, 0, 1}, {0, 0, 0}};
+  auto chain = AbsorbingCtmc::Create(std::move(p),
+                                     {1.0, 1.0, kInfiniteResidence},
+                                     {"a", "b", "A"}, 0, 2);
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  const DenseMatrix& q = chain->transition_probabilities();
+  EXPECT_DOUBLE_EQ(q.At(0, 1) + q.At(0, 2), 1.0);
+}
+
+TEST(AbsorbingCtmcTest, StateLookup) {
+  const AbsorbingCtmc chain = MakeLoopChain(0.25, 1.0, 1.0);
+  auto idx = chain.StateIndex("s1");
+  ASSERT_TRUE(idx.ok());
+  EXPECT_EQ(*idx, 1u);
+  EXPECT_FALSE(chain.StateIndex("nope").ok());
+  EXPECT_EQ(chain.state_name(2), "A");
+}
+
+// The jump chain P of an AbsorbingCtmc is a DTMC: Create validates it as
+// one, and ExpectedStateVisits solves its fundamental matrix.
+
+TEST(DtmcTest, CreateRejectsNonSquare) {
+  EXPECT_FALSE(AbsorbingCtmc::Create(DenseMatrix(2, 3),
+                                     {1.0, kInfiniteResidence}, {"a", "A"},
+                                     0, 1)
+                   .ok());
+}
+
+TEST(DtmcTest, CreateRejectsNameMismatch) {
+  DenseMatrix p{{0, 1}, {0, 0}};
+  EXPECT_FALSE(
+      AbsorbingCtmc::Create(p, {1.0, kInfiniteResidence}, {"a"}, 0, 1).ok());
+}
+
+TEST(DtmcTest, CreateRejectsBadRowSum) {
+  DenseMatrix p{{0, 0.5, 0.4}, {0, 0, 1}, {0, 0, 0}};
+  EXPECT_FALSE(AbsorbingCtmc::Create(std::move(p),
+                                     {1.0, 1.0, kInfiniteResidence},
+                                     {"a", "b", "A"}, 0, 2)
+                   .ok());
+}
+
+TEST(DtmcTest, CreateRejectsNegativeProbability) {
+  // The row still sums to one.
+  DenseMatrix p{{0, 1.5, -0.5}, {0, 0, 1}, {0, 0, 0}};
+  EXPECT_FALSE(AbsorbingCtmc::Create(std::move(p),
+                                     {1.0, 1.0, kInfiniteResidence},
+                                     {"a", "b", "A"}, 0, 2)
+                   .ok());
+}
+
+TEST(DtmcTest, GeometricLoopVisits) {
+  // Visits depend on the jump chain only, not on the residence times:
+  // 1/(1-q) to each loop state, none to the absorbing state.
+  for (double q : {0.0, 0.25, 0.5, 0.9}) {
+    const AbsorbingCtmc chain = MakeLoopChain(q, 2.0, 7.0);
+    auto visits = ExpectedStateVisits(chain);
+    ASSERT_TRUE(visits.ok()) << visits.status();
+    EXPECT_NEAR((*visits)[0], 1.0 / (1.0 - q), 1e-12) << "q=" << q;
+    EXPECT_NEAR((*visits)[1], 1.0 / (1.0 - q), 1e-12) << "q=" << q;
+    EXPECT_DOUBLE_EQ((*visits)[2], 0.0) << "q=" << q;
+  }
+}
+
+TEST(DtmcTest, OutOfRangeStart) {
+  // The start is fixed at Create, which rejects an initial or absorbing
+  // state outside the chain.
+  DenseMatrix p{{0, 1}, {0, 0}};
+  EXPECT_FALSE(AbsorbingCtmc::Create(p, {1.0, kInfiniteResidence},
+                                     {"a", "A"}, 99, 1)
+                   .ok());
+  EXPECT_FALSE(AbsorbingCtmc::Create(p, {1.0, kInfiniteResidence},
+                                     {"a", "A"}, 0, 99)
+                   .ok());
+}
+
 TEST(AbsorbingCtmcTest, AbsorbingRowNormalizedToSelfLoop) {
   const AbsorbingCtmc chain = MakeLoopChain(0.0, 1.0, 1.0);
   EXPECT_DOUBLE_EQ(chain.transition_probabilities().At(2, 2), 1.0);
@@ -152,6 +229,35 @@ TEST(TransientTest, VisitsMatchClosedForm) {
   ASSERT_TRUE(visits.ok());
   EXPECT_NEAR((*visits)[0], 4.0 / 3.0, 1e-12);
   EXPECT_NEAR((*visits)[1], 4.0 / 3.0, 1e-12);
+}
+
+TEST(TransientTest, GamblersRuinExpectedVisits) {
+  // Fair gambler's ruin on {one, two}; both ruin ends are merged into the
+  // absorbing state, which sits first so the transient states are not a
+  // prefix of the state order.
+  DenseMatrix p{{0, 0, 0}, {0.5, 0, 0.5}, {0.5, 0.5, 0}};
+  auto chain = AbsorbingCtmc::Create(std::move(p),
+                                     {kInfiniteResidence, 1.0, 1.0},
+                                     {"A", "one", "two"}, 1, 0);
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  auto visits = ExpectedStateVisits(*chain);
+  ASSERT_TRUE(visits.ok()) << visits.status();
+  // N = (I - [[0, .5], [.5, 0]])^-1 = [[4/3, 2/3], [2/3, 4/3]].
+  EXPECT_NEAR((*visits)[1], 4.0 / 3.0, 1e-12);
+  EXPECT_NEAR((*visits)[2], 2.0 / 3.0, 1e-12);
+  EXPECT_DOUBLE_EQ((*visits)[0], 0.0);
+}
+
+TEST(TransientTest, NoAbsorptionPathIsError) {
+  // start -> A directly; b <-> c is a closed 2-cycle that start never
+  // reaches. Create only checks states reachable from the start, so it
+  // accepts the chain, but I - P_T is singular and the solve must fail.
+  DenseMatrix p{{0, 0, 0, 1}, {0, 0, 1, 0}, {0, 1, 0, 0}, {0, 0, 0, 0}};
+  auto chain = AbsorbingCtmc::Create(std::move(p),
+                                     {1.0, 1.0, 1.0, kInfiniteResidence},
+                                     {"start", "b", "c", "A"}, 0, 3);
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  EXPECT_FALSE(ExpectedStateVisits(*chain).ok());
 }
 
 TEST(TransientTest, RewardMatchesVisitInnerProduct) {

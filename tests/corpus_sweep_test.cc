@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
+
+#include "configtool/tool.h"
+#include "corpus/compile.h"
+#include "corpus/importer.h"
 
 namespace wfms::corpus {
 namespace {
@@ -126,6 +132,50 @@ TEST(CorpusSweepTest, ImportEntriesSweepAlongsideRecipes) {
   EXPECT_EQ(imported.pattern, "imported");
   EXPECT_EQ(imported.workflow, "seismic-mixed");
   EXPECT_EQ(imported.tasks, 8u);
+}
+
+// The sweep assesses under default options: each committed fixture,
+// imported, compiled and assessed at all-ones by a default-constructed
+// tool, gives exactly the sweep's answer.
+TEST(CorpusSweepTest, FixturesAssessUnderDefaultOptions) {
+  Manifest m;
+  for (const char* which : {"chain", "forkjoin", "mixed"}) {
+    ManifestEntry entry;
+    entry.id = which;
+    entry.wfcommons_path = std::string(WFMS_TEST_DATA_DIR) + "/wfcommons_" +
+                           which + ".json";
+    m.entries.push_back(entry);
+  }
+  SweepOptions options;
+  options.include_timings = false;
+  const auto report = RunSweep(m, options);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->results.size(), m.entries.size());
+
+  for (size_t i = 0; i < m.entries.size(); ++i) {
+    const EnvironmentResult& swept = report->results[i];
+    ASSERT_TRUE(swept.error.empty()) << swept.id << ": " << swept.error;
+    std::ifstream in(m.entries[i].wfcommons_path);
+    ASSERT_TRUE(in) << m.entries[i].wfcommons_path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    const auto dag = ParseWfCommons(text.str());
+    ASSERT_TRUE(dag.ok()) << dag.status();
+    const auto env = CompileDag(*dag);
+    ASSERT_TRUE(env.ok()) << env.status();
+    auto tool = configtool::ConfigurationTool::Create(*env);
+    ASSERT_TRUE(tool.ok()) << swept.id << ": " << tool.status();
+    tool->set_num_threads(1);
+    const auto assessment = tool->Assess(
+        workflow::Configuration::Ones(env->servers.size()), options.goals);
+    ASSERT_TRUE(assessment.ok()) << assessment.status();
+    ASSERT_TRUE(assessment->error.ok()) << assessment->error;
+    EXPECT_EQ(assessment->performability.availability, swept.availability)
+        << swept.id;
+    EXPECT_EQ(assessment->performability.max_expected_waiting,
+              swept.max_expected_waiting)
+        << swept.id;
+  }
 }
 
 TEST(CorpusSweepTest, MissingImportFileFailsOnlyThatEntry) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "markov/transient.h"
 #include "queueing/mg1.h"
 #include "statechart/parser.h"
 #include "workflow/scenarios.h"
@@ -63,20 +64,33 @@ TEST(WorkflowAnalysisTest, TinyWorkflowExactValues) {
   EXPECT_NEAR(analysis->expected_requests[1], 2.0, 1e-9);
 }
 
+// The paper's §4.2.1 uniformized reward summation, with entry rewards
+// = row x of state_loads, must reproduce the exact visit-count loads for
+// every (workflow type x server type) pair of the benchmark mix, EP's
+// included.
 TEST(WorkflowAnalysisTest, RewardAndEmbeddedChainMethodsAgreeOnEp) {
-  const Environment env = MakeEpEnv();
-  AnalysisOptions reward_opts;
-  reward_opts.method = LoadMethod::kMarkovReward;
-  AnalysisOptions exact_opts;
-  exact_opts.method = LoadMethod::kEmbeddedChain;
-  auto reward = AnalyzeWorkflow(env, env.workflows[0], reward_opts);
-  auto exact = AnalyzeWorkflow(env, env.workflows[0], exact_opts);
-  ASSERT_TRUE(reward.ok()) << reward.status();
-  ASSERT_TRUE(exact.ok());
-  for (size_t x = 0; x < 3; ++x) {
-    EXPECT_NEAR(reward->expected_requests[x], exact->expected_requests[x],
-                1e-6 * exact->expected_requests[x]);
+  auto env = workflow::BenchmarkEnvironment();
+  ASSERT_TRUE(env.ok()) << env.status();
+  size_t pairs = 0;
+  for (const workflow::WorkflowTypeSpec& spec : env->workflows) {
+    auto analysis = AnalyzeWorkflow(*env, spec);
+    ASSERT_TRUE(analysis.ok()) << analysis.status();
+    const size_t n = analysis->chain.num_states();
+    for (size_t x = 0; x < env->num_server_types(); ++x) {
+      linalg::Vector rewards(n, 0.0);
+      for (size_t s = 0; s < n; ++s) {
+        rewards[s] = analysis->state_loads.At(x, s);
+      }
+      auto reward =
+          markov::ExpectedRewardUntilAbsorption(analysis->chain, rewards);
+      ASSERT_TRUE(reward.ok()) << reward.status();
+      const double exact = analysis->expected_requests[x];
+      EXPECT_NEAR(reward->expected_reward, exact, 1e-9 * exact)
+          << spec.name << " / " << env->servers.type(x).name;
+      ++pairs;
+    }
   }
+  EXPECT_EQ(pairs, 15u);
 }
 
 TEST(WorkflowAnalysisTest, EpEngineRequestsMatchHandComputation) {
